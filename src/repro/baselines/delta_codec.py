@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.bitpack import bits_needed, pack, unpack
-from ..core.format import EncodedPartition, EncodedSequence
+from ..core.bitpack import bits_needed, bits_needed_vec, pack, unpack
+from ..core.format import EncodedSequence, PartitionTable
 from ..core.partitioner import fixed_partitions, search_fixed_length, var_partitions
-from ..core.regressor import LinearModel
 
 #: model cost in bits for a Delta partition: first value (64) + bias (64).
 DELTA_MODEL_BITS = 128
@@ -36,33 +35,41 @@ def _delta_width(sub: np.ndarray) -> int:
     return bits_needed(int(d.max()) - min(0, int(d.min())))
 
 
-def encode_partition_delta(values: np.ndarray) -> EncodedPartition:
-    v = np.asarray(values, dtype=np.int64)
-    if len(v) == 1:
-        return EncodedPartition(LinearModel(0.0, 0.0), 0, 1, b"", int(v[0]))
-    d = np.diff(v)
-    dbias = min(0, int(d.min()))
-    if abs(dbias) >= 2**53:
-        raise OverflowError("difference bias exceeds float64 precision")
-    width = bits_needed(int(d.max()) - dbias)
-    payload = pack((d - dbias).astype(np.uint64), width)
-    # v0 is stored in the exact int64 bias field (float θ0 would round it
-    # beyond 2^53); the per-step difference bias rides in θ1 as before.
-    return EncodedPartition(LinearModel(0.0, float(dbias)), width, len(v), payload, int(v[0]))
+def _delta_table(v: np.ndarray, starts: np.ndarray) -> PartitionTable:
+    """Encode each partition as its first value (in the exact int64 bias —
+    a float θ0 would round it beyond 2^53), the per-step difference bias
+    (in θ1) and the packed differences."""
+    bounds = np.append(starts, len(v)).astype(np.int64).tolist()
+    theta1, bias, width, payloads = [], [], [], []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        d = np.diff(v[a:b])
+        dbias = min(0, int(d.min())) if len(d) else 0
+        if abs(dbias) >= 2**53:
+            raise OverflowError("difference bias exceeds float64 precision")
+        w = bits_needed(int(d.max()) - dbias) if len(d) else 0
+        theta1.append(float(dbias))
+        bias.append(int(v[a]))
+        width.append(w)
+        payloads.append(pack(d - dbias, w))
+    zeros = np.zeros(len(bias))
+    return PartitionTable.build(
+        zeros, theta1, bias, width, np.diff(bounds), [len(p) for p in payloads], b"".join(payloads)
+    )
 
 
-def _decode_partition(p: EncodedPartition, upto: int | None = None) -> np.ndarray:
-    """Sequentially reconstruct the first ``upto`` values of a partition."""
-    upto = p.n if upto is None else upto
-    v0 = p.bias
+def _decode_partition(t: PartitionTable, k: int, upto: int | None = None) -> np.ndarray:
+    """Sequentially reconstruct the first ``upto`` values of partition ``k``."""
+    n, w = t.n.item(k), t.width.item(k)
+    upto = n if upto is None else upto
+    v0 = t.bias.item(k)
     if upto <= 1:
         return np.array([v0], dtype=np.int64)[:upto]
     stored = (
-        unpack(p.payload, p.width, p.n - 1)[: upto - 1].astype(np.int64)
-        if p.width
+        unpack(t.payload_of(k), w, n - 1)[: upto - 1].astype(np.int64)
+        if w
         else np.zeros(upto - 1, dtype=np.int64)
     )
-    d = stored + int(p.model.theta1)
+    d = stored + int(t.theta1.item(k))
     return np.concatenate(([v0], v0 + np.cumsum(d)))
 
 
@@ -70,11 +77,14 @@ class _DeltaBase:
     supports_random_access = False  # access is O(partition prefix)
 
     def decode(self, enc: EncodedSequence) -> np.ndarray:
-        return np.concatenate([_decode_partition(p) for p in enc.partitions])
+        t = enc.partitions
+        if not len(t):
+            return np.empty(0, dtype=np.int64)
+        return np.concatenate([_decode_partition(t, k) for k in range(len(t))])
 
     def access(self, enc: EncodedSequence, i: int) -> int:
         k, off = enc.partition_of(i)
-        return int(_decode_partition(enc.partitions[k], off + 1)[off])
+        return int(_decode_partition(enc.partitions, k, off + 1)[off])
 
 
 class DeltaFix(_DeltaBase):
@@ -87,14 +97,12 @@ class DeltaFix(_DeltaBase):
 
     @staticmethod
     def _cost(sample: np.ndarray, L: int) -> int:
-        from ..core.leco import _bits_needed_vec
-
         v = np.asarray(sample, dtype=np.int64)
         m = len(v) // L
         size = 0
         if m:
             d = np.diff(v[: m * L].reshape(m, L), axis=1)
-            ws = _bits_needed_vec(d.max(axis=1) - np.minimum(0, d.min(axis=1)))
+            ws = bits_needed_vec(d.max(axis=1) - np.minimum(0, d.min(axis=1)))
             size += int(25 * m + (((L - 1) * ws + 7) // 8).sum())
         if len(v) % L:
             tail = v[m * L :]
@@ -105,8 +113,7 @@ class DeltaFix(_DeltaBase):
         v = np.asarray(values, dtype=np.int64)
         L = self.partition_len or search_fixed_length(v, self._cost)
         starts = fixed_partitions(len(v), L)
-        parts = [encode_partition_delta(v[s : s + L]) for s in starts]
-        return EncodedSequence(self.name, len(v), dtype_bits, L, starts, parts)
+        return EncodedSequence(self.name, len(v), dtype_bits, L, starts, _delta_table(v, starts))
 
 
 class DeltaVar(_DeltaBase):
@@ -122,6 +129,4 @@ class DeltaVar(_DeltaBase):
         starts = var_partitions(
             v, tau=self.tau, model_bits=DELTA_MODEL_BITS, exact_width=_delta_width
         )
-        bounds = np.append(starts, len(v)).astype(np.int64)
-        parts = [encode_partition_delta(v[bounds[k] : bounds[k + 1]]) for k in range(len(starts))]
-        return EncodedSequence(self.name, len(v), dtype_bits, None, starts, parts)
+        return EncodedSequence(self.name, len(v), dtype_bits, None, starts, _delta_table(v, starts))

@@ -1,36 +1,33 @@
 """Frame-of-Reference baseline (§2): per-frame minimum + bit-packed offsets.
 
 Under the LeCo framework FOR is the special case whose Regressor always
-outputs a horizontal line through the frame minimum (``ConstantRegressor``),
-so it reuses the same storage format with ``θ1 = 0``.  Frame length comes
-from the same sampling-based search used by LeCo-fix (§4.2 applies that
-search to all fixed-partitioning baselines).
+outputs a horizontal line, so it reuses the same storage format with
+``θ0 = θ1 = 0`` and the frame minimum in the exact int64 bias, and LeCo's
+decode and access kernels.  Frame length comes from the same sampling-based
+search used by LeCo-fix (§4.2 applies that search to all fixed-partitioning
+baselines).
 """
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.bitpack import bits_needed, extract, pack, unpack
-from ..core.format import EncodedPartition, EncodedSequence
-from ..core.partitioner import fixed_partitions, search_fixed_length
-from ..core.regressor import ConstantRegressor, LinearModel
-
-_REGRESSOR = ConstantRegressor()
+from ..core.bitpack import bits_needed_vec, packed_size
+from ..core.format import EncodedSequence
+from ..core.leco import _fixed_table, _value_at, decode_table
+from ..core.partitioner import fixed_partitions, fixed_rows, search_fixed_length
 
 
-def _for_width(sub: np.ndarray) -> int:
-    return bits_needed(int(sub.max()) - int(sub.min()))
+def _frame_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame (min, width) over frames stacked as rows."""
+    rmin = rows.min(axis=1)
+    return rmin, bits_needed_vec(rows.max(axis=1) - rmin)
 
 
-def encode_partition_for(values: np.ndarray) -> EncodedPartition:
-    v = np.asarray(values, dtype=np.int64)
-    vmin = int(v.min())
-    width = bits_needed(int(v.max()) - vmin)
-    # the frame base lives in the exact int64 bias field — a float θ0 would
-    # lose precision for values beyond 2^53
-    return EncodedPartition(
-        LinearModel(0.0, 0.0), width, len(v), pack((v - vmin).astype(np.uint64), width), vmin
-    )
+def _frame_fit(rows: np.ndarray):
+    """FOR's model per frame: the horizontal line θ0 = θ1 = 0, frame min in bias."""
+    rmin, width = _frame_stats(rows)
+    zeros = np.zeros(len(rows))
+    return zeros, zeros, rmin, width, rows
 
 
 class FORCodec:
@@ -42,56 +39,22 @@ class FORCodec:
     def __init__(self, partition_len: int | None = None):
         self.partition_len = partition_len
 
-    @staticmethod
-    def _row_stats(v: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized per-partition (min, width) over full rows + tail."""
-        from ..core.leco import _bits_needed_vec
-
-        m = len(v) // L
-        mins, widths = [], []
-        if m:
-            rows = v[: m * L].reshape(m, L)
-            rmin, rmax = rows.min(axis=1), rows.max(axis=1)
-            mins.append(rmin)
-            widths.append(_bits_needed_vec(rmax - rmin))
-        if len(v) % L:
-            tail = v[m * L :]
-            mins.append(np.array([tail.min()]))
-            widths.append(np.array([_for_width(tail)]))
-        return np.concatenate(mins), np.concatenate(widths)
-
     def _cost(self, sample: np.ndarray, L: int) -> int:
-        _, ws = self._row_stats(np.asarray(sample, dtype=np.int64), L)
-        lens = np.full(len(ws), L)
-        if len(sample) % L:
-            lens[-1] = len(sample) % L
-        return int(25 * len(ws) + ((lens * ws + 7) // 8).sum())
+        size = 0
+        for rows in fixed_rows(np.asarray(sample, dtype=np.int64), L):
+            _, ws = _frame_stats(rows)
+            size += 25 * len(ws) + int(packed_size(rows.shape[1], ws).sum())
+        return size
 
     def encode(self, values: np.ndarray, *, dtype_bits: int = 64) -> EncodedSequence:
         v = np.asarray(values, dtype=np.int64)
         L = self.partition_len or search_fixed_length(v, self._cost)
-        starts = fixed_partitions(len(v), L)
-        mins, widths = self._row_stats(v, L)
-        parts = [
-            EncodedPartition(
-                LinearModel(0.0, 0.0),
-                int(widths[k]),
-                len(v[s : s + L]),
-                pack((v[s : s + L] - mins[k]).astype(np.uint64), int(widths[k])),
-                int(mins[k]),
-            )
-            for k, s in enumerate(starts)
-        ]
-        return EncodedSequence(self.name, len(v), dtype_bits, L, starts, parts)
+        table = _fixed_table(v, L, _frame_fit)
+        return EncodedSequence(self.name, len(v), dtype_bits, L, fixed_partitions(len(v), L), table)
 
     def decode(self, enc: EncodedSequence) -> np.ndarray:
-        out = []
-        for p in enc.partitions:
-            deltas = unpack(p.payload, p.width, p.n) if p.width else np.zeros(p.n, dtype=np.uint64)
-            out.append(p.bias + deltas.astype(np.int64))
-        return np.concatenate(out)
+        return decode_table(enc)
 
     def access(self, enc: EncodedSequence, i: int) -> int:
         k, off = enc.partition_of(i)
-        p = enc.partitions[k]
-        return p.bias + extract(p.payload, p.width, off)
+        return _value_at(enc.partitions, k, off)

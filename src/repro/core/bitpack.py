@@ -8,8 +8,10 @@ fixed-width layout the paper's θ0-tweak approximates (see DESIGN.md §2).
 
 Two families of helpers:
 
-* numpy path (widths 0..64): vectorized via ``np.unpackbits``/``packbits``
-  for whole-array pack/unpack plus an O(1) single-value ``extract``.
+* numpy path (widths 0..64): ``pack_rows`` packs many equal-length rows
+  (one per partition) in a few vectorized calls per distinct width;
+  ``pack``/``unpack`` handle one array and ``extract`` reads one value in
+  O(1).
 * big-int path (arbitrary widths, for the string extension §3.4 where
   mapped integers exceed 64 bits): pure-Python over ``int``.
 """
@@ -19,6 +21,9 @@ import numpy as np
 
 __all__ = [
     "bits_needed",
+    "bits_needed_vec",
+    "packed_size",
+    "pack_rows",
     "pack",
     "unpack",
     "extract",
@@ -39,6 +44,87 @@ def bits_needed(max_value: int) -> int:
     return int(max_value).bit_length()
 
 
+_POW2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
+
+#: values per ``pack_rows`` step; bounds its (values × 64)-byte bit matrix
+#: to 4 MiB.  A multiple of 8, so a row split at a block edge stays
+#: byte-aligned.
+_BLOCK_VALUES = 1 << 16
+
+
+def bits_needed_vec(spread: np.ndarray) -> np.ndarray:
+    """Element-wise :func:`bits_needed`, exact over the full 64-bit range.
+
+    Signed input is read as its two's-complement uint64, so a spread
+    ``hi - lo`` taken in wrapping int64 arithmetic gives the exact width.
+    """
+    x = np.asarray(spread)
+    if x.dtype != np.uint64:
+        x = x.astype(np.int64, copy=False).view(np.uint64)
+    return np.searchsorted(_POW2, x, side="right")
+
+
+def packed_size(count, width):
+    """Bytes taken by ``count`` values packed at ``width`` bits (vectorizes)."""
+    return (count * width + 7) // 8
+
+
+def _as_u64(values) -> np.ndarray:
+    """Values as uint64; signed input is read as its two's complement."""
+    v = np.asarray(values)
+    return v if v.dtype == np.uint64 else v.astype(np.int64, copy=False).view(np.uint64)
+
+
+def _pack_matrix(be: np.ndarray, width: int) -> np.ndarray:
+    """Pack each row of the big-endian ``>u8`` matrix ``be`` at ``width``
+    bits: the bit matrix is ``np.unpackbits`` of the value bytes, keeping
+    each value's low ``width`` bits, and ``np.packbits`` turns it back into
+    bytes, each row padded to whole bytes."""
+    g, s = be.shape
+    bits = np.unpackbits(be.view(np.uint8), axis=1)
+    return np.packbits(bits.reshape(g, s, 64)[:, :, 64 - width :].reshape(g, s * width), axis=1)
+
+
+def pack_rows(rows: np.ndarray, widths: np.ndarray) -> bytes:
+    """Pack row ``k`` of the ``(m, L)`` unsigned matrix ``rows`` at
+    ``widths[k]`` bits, MSB-first, each row padded to whole bytes.
+
+    Returns the rows' packed bytes concatenated in row order, so row ``k``
+    is byte-identical to ``pack(rows[k], widths[k])``.  All rows of one
+    width are packed together, in blocks of at most ``_BLOCK_VALUES``
+    values.  Signed input is read as its two's-complement uint64.
+    """
+    v = _as_u64(rows)
+    w_all = np.asarray(widths, dtype=np.int64).reshape(-1)
+    m, L = v.shape
+    if len(w_all) != m:
+        raise ValueError(f"{m} rows but {len(w_all)} widths")
+    if m and not (0 <= w_all.min() and w_all.max() <= 64):
+        raise ValueError(f"width must be in [0, 64], got {w_all.min()}..{w_all.max()}")
+    if L == 0:
+        return b""
+    high = v.max(axis=1) >> np.minimum(w_all, 63).astype(np.uint64)
+    if ((high != 0) & (w_all < 64)).any():
+        raise ValueError("value out of range for its row's width")
+    be = v.astype(">u8")
+    sizes = packed_size(L, w_all)
+    out = np.zeros(int(sizes.sum()), dtype=np.uint8)
+    starts = np.cumsum(sizes) - sizes
+    rows_per_block = max(1, _BLOCK_VALUES // L)
+    seg = min(L, _BLOCK_VALUES)
+    for w in np.unique(w_all).tolist():
+        if w == 0:
+            continue
+        ks = np.flatnonzero(w_all == w)
+        for r in range(0, len(ks), rows_per_block):
+            kb = ks[r : r + rows_per_block]
+            for c in range(0, L, seg):
+                packed = _pack_matrix(be[kb, c : c + seg], w)
+                dst = starts[kb] + c * w // 8
+                out[dst[:, None] + np.arange(packed.shape[1])] = packed
+    return out.tobytes()
+
+
 def pack(values: np.ndarray, width: int) -> bytes:
     """Pack unsigned ``values`` at ``width`` bits each, MSB-first.
 
@@ -48,13 +134,14 @@ def pack(values: np.ndarray, width: int) -> bytes:
         return b""
     if not 0 < width <= 64:
         raise ValueError(f"width must be in [0, 64], got {width}")
-    v = np.ascontiguousarray(values, dtype=np.uint64)
+    v = _as_u64(values).reshape(1, -1)
     if v.size and width < 64 and int(v.max()) >> width:
         raise ValueError(f"value out of range for width={width}")
-    # Bit matrix (n, width), MSB first, then flatten and pack into bytes.
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
-    bits = ((v[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
-    return np.packbits(bits.ravel()).tobytes()
+    be = v.astype(">u8")
+    return b"".join(
+        _pack_matrix(be[:, c : c + _BLOCK_VALUES], width).tobytes()
+        for c in range(0, v.shape[1], _BLOCK_VALUES)
+    )
 
 
 def unpack(buf: bytes, width: int, n: int) -> np.ndarray:
@@ -66,14 +153,15 @@ def unpack(buf: bytes, width: int, n: int) -> np.ndarray:
     return bits.reshape(n, width).astype(np.uint64) @ weights
 
 
-def extract(buf: bytes, width: int, idx: int) -> int:
+def extract(buf: bytes, width: int, idx: int, offset: int = 0) -> int:
     """Read the single value at position ``idx`` without unpacking the rest.
 
-    Mirrors the paper's Decoder (§3.3): fetch bits ``[b·i, b·(i+1))``.
+    Mirrors the paper's Decoder (§3.3): fetch bits ``[b·i, b·(i+1))`` of the
+    packed array that starts ``offset`` bytes into ``buf``.
     """
     if width == 0:
         return 0
-    start = idx * width
+    start = offset * 8 + idx * width
     end = start + width
     first, last = start // 8, (end + 7) // 8
     chunk = int.from_bytes(buf[first:last], "big")

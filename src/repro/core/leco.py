@@ -8,99 +8,41 @@ a bit-packed unsigned delta array, giving O(1) random access:
     partition = i // L   (fix)  |  searchsorted(starts, i)   (var)
     v = floor(θ0 + θ1·i') + bias + delta[i']
 
-``decode_range_accum`` implements the §3.3 range-decompression optimization
-(θ1-accumulation saving one FP multiply per value) together with its exact
-error-correction list, asserted bit-equal to direct inference in tests.
+FOR is the θ0 = θ1 = 0 case of the same layout, so FOR shares this module's
+decode and access kernels.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .bitpack import bits_needed, extract, pack, unpack
-from .format import EncodedPartition, EncodedSequence
-from .partitioner import fixed_partitions, search_fixed_length, var_partitions
-from .regressor import LinearModel, LinearRegressor
+from .bitpack import bits_needed_vec, extract, pack, pack_rows, packed_size, unpack
+from .format import EncodedSequence, PartitionTable
+from .partitioner import fixed_partitions, fixed_rows, search_fixed_length, var_partitions
+from .regressor import LinearRegressor
 
-__all__ = ["LeCoFix", "LeCoVar", "encode_partition_linear", "decode_range_accum"]
+__all__ = ["LeCoFix", "LeCoVar"]
 
 _REGRESSOR = LinearRegressor()
 
+#: a fitted line is used only while values and predictions stay inside
+#: ±2^62, so ``value − prediction`` cannot overflow int64.
+_SAFE = 2.0**62
 
-def encode_partition_linear(values: np.ndarray) -> EncodedPartition:
-    """Fit + encode one partition: model, integer bias, packed deltas.
 
-    The Regressor keeps the better of the fitted line and the horizontal
-    line through the minimum (FOR's model, a special case of the framework
-    — §2), so LeCo is never worse than FOR on the same partition.
+def _fit_rows(rows: np.ndarray):
+    """Vectorized least-squares line + best-of(line, FOR) over equal-length
+    partitions stacked as rows.
+
+    Each row keeps the better of its fitted line and FOR's horizontal line
+    through the row minimum (a special case of the framework — §2), so LeCo
+    is never worse than FOR on the same partition.  A row whose values or
+    line ends leave ±2^62 always takes the horizontal line, which is exact
+    over the whole int64 range.  Returns ``(θ0, θ1, bias, width, deltas)``
+    with ``deltas = v − floor(θ0 + θ1·i)`` (int64, wrapping); the stored
+    values are ``deltas − bias``.
     """
-    v = np.asarray(values, dtype=np.int64)
-    model = _REGRESSOR.fit(v)
-    idx = np.arange(len(v))
-    deltas = v - model.predict(idx)
-    if bits_needed(int(v.max()) - int(v.min())) < bits_needed(int(deltas.max()) - int(deltas.min())):
-        model = LinearModel(float(v.min()), 0.0)
-        deltas = v - model.predict(idx)
-    bias = int(deltas.min())
-    width = bits_needed(int(deltas.max()) - bias)
-    payload = pack((deltas - bias).astype(np.uint64), width)
-    return EncodedPartition(model, width, len(v), payload, bias)
-
-
-def _linear_width(values: np.ndarray) -> int:
-    """Exact delta bit-width the Regressor yields for ``values`` (best of
-    the fitted line and the FOR horizontal line, as in the encoder)."""
-    v = np.asarray(values, dtype=np.int64)
-    model = _REGRESSOR.fit(v)
-    deltas = v - model.predict(np.arange(len(v)))
-    w_lin = bits_needed(int(deltas.max()) - int(deltas.min()))
-    return min(w_lin, bits_needed(int(v.max()) - int(v.min())))
-
-
-def _decode_partition(p: EncodedPartition, start: int = 0, stop: int | None = None) -> np.ndarray:
-    stop = p.n if stop is None else stop
-    idx = np.arange(start, stop)
-    deltas = (
-        unpack(p.payload, p.width, p.n)[start:stop]
-        if p.width
-        else np.zeros(stop - start, dtype=np.uint64)
-    )
-    return p.model.predict(idx) + p.bias + deltas.astype(np.int64)
-
-
-class _LeCoBase:
-    supports_random_access = True
-
-    def decode(self, enc: EncodedSequence) -> np.ndarray:
-        return np.concatenate([_decode_partition(p) for p in enc.partitions])
-
-    def access(self, enc: EncodedSequence, i: int) -> int:
-        k, off = enc.partition_of(i)
-        p = enc.partitions[k]
-        return p.model.predict_one(off) + p.bias + extract(p.payload, p.width, off)
-
-    def decode_range(self, enc: EncodedSequence, start: int, stop: int) -> np.ndarray:
-        """Decode global positions ``[start, stop)`` touching only the needed partitions."""
-        ks, offs = enc.partition_of(start)
-        ke, offe = enc.partition_of(stop - 1)
-        out = []
-        for k in range(ks, ke + 1):
-            p = enc.partitions[k]
-            a = offs if k == ks else 0
-            b = offe + 1 if k == ke else p.n
-            out.append(_decode_partition(p, a, b))
-        return np.concatenate(out)
-
-
-def _bits_needed_vec(x: np.ndarray) -> np.ndarray:
-    """Exact per-element ``bits_needed`` (``int.bit_length``); this runs per
-    *partition*, not per value, so the Python ufunc cost is negligible —
-    and unlike a float ``log2`` it cannot be off by one near 2^53."""
-    return np.frompyfunc(lambda v: int(v).bit_length(), 1, 1)(np.maximum(x, 0)).astype(np.int64)
-
-
-def _fit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized linear fit + best-of(line, FOR-constant) over equal-length
-    partitions stacked as rows.  Returns (θ0, θ1, bias, width, deltas)."""
     m, L = rows.shape
     i = np.arange(L, dtype=np.float64)
     ibar = (L - 1) / 2.0
@@ -108,32 +50,147 @@ def _fit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     mean = rows.mean(axis=1)
     theta1 = ((rows - mean[:, None]) @ (i - ibar)) / denom
     theta0 = mean - theta1 * ibar
-    pred = np.floor(theta0[:, None] + theta1[:, None] * i).astype(np.int64)
-    deltas = rows - pred
-    dmin, dmax = deltas.min(axis=1), deltas.max(axis=1)
-    w_lin = _bits_needed_vec(dmax - dmin)
     rmin, rmax = rows.min(axis=1), rows.max(axis=1)
-    w_const = _bits_needed_vec(rmax - rmin)
-    use_const = w_const < w_lin
-    theta0 = np.where(use_const, rmin.astype(np.float64), theta0)
-    theta1 = np.where(use_const, 0.0, theta1)
-    deltas = np.where(use_const[:, None], rows - rmin[:, None], deltas)
-    bias = np.where(use_const, 0, dmin)
-    width = np.minimum(w_lin, w_const)
-    return theta0, theta1, bias, width, deltas
+    pred = np.floor(theta0[:, None] + theta1[:, None] * i)
+    ends = np.maximum(np.abs(pred[:, 0]), np.abs(pred[:, -1]))
+    vals = np.maximum(np.abs(rmin.astype(np.float64)), np.abs(rmax.astype(np.float64)))
+    safe = (ends < _SAFE) & (vals < _SAFE)
+    with np.errstate(invalid="ignore"):  # unsafe rows are replaced below
+        deltas = rows - pred.astype(np.int64)
+    dmin, dmax = deltas.min(axis=1), deltas.max(axis=1)
+    w_lin = bits_needed_vec(dmax - dmin)
+    w_const = bits_needed_vec(rmax - rmin)
+    use_const = ~safe | (w_const < w_lin)
+    # the horizontal line floor(float(rmin)); its integer error goes in bias
+    c0 = rmin.astype(np.float64)
+    c0[c0 >= 2.0**63] = 0.0  # float(rmin) rounded out of int64
+    c0_int = c0.astype(np.int64)
+    deltas[use_const] = rows[use_const] - c0_int[use_const, None]
+    return (
+        np.where(use_const, c0, theta0),
+        np.where(use_const, 0.0, theta1),
+        np.where(use_const, rmin - c0_int, dmin),
+        np.where(use_const, w_const, w_lin),
+        deltas,
+    )
+
+
+def _fit_one(values: np.ndarray) -> tuple[float, float, int, int, np.ndarray]:
+    """One partition through the Regressor (least squares + θ0-tweak), with
+    :func:`_fit_rows`'s choice of line and return values in scalar
+    arithmetic (the variable-length Partitioner calls this thousands of
+    times on short slices)."""
+    v = np.asarray(values, dtype=np.int64)
+    lo, hi = int(v.min()), int(v.max())
+    w_const = (hi - lo).bit_length()
+    if max(-lo, hi) < _SAFE:
+        model = _REGRESSOR.fit(v)
+        t0, t1 = model.theta0, model.theta1
+        if max(abs(math.floor(t0)), abs(math.floor(t0 + t1 * (len(v) - 1)))) < _SAFE:
+            deltas = v - model.predict(np.arange(len(v)))
+            dlo = int(deltas.min())
+            w_lin = (int(deltas.max()) - dlo).bit_length()
+            if w_lin <= w_const:
+                return t0, t1, dlo, w_lin, deltas
+    c0 = float(lo) if float(lo) < 2.0**63 else 0.0
+    return c0, 0.0, lo - int(c0), w_const, v - int(c0)
+
+
+def _linear_width(values: np.ndarray) -> int:
+    """Exact delta bit-width the encoder yields for one partition."""
+    return _fit_one(values)[3]
+
+
+def _linear_table(v: np.ndarray, starts: np.ndarray) -> PartitionTable:
+    """Encode variable-length partitions one by one into a table."""
+    bounds = np.append(starts, len(v)).astype(np.int64).tolist()
+    fits = [_fit_one(v[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    payloads = [pack(deltas - bias, w) for _, _, bias, w, deltas in fits]
+    theta0, theta1, bias, width = ([f[j] for f in fits] for j in range(4))
+    return PartitionTable.build(
+        theta0, theta1, bias, width, np.diff(bounds), [len(p) for p in payloads], b"".join(payloads)
+    )
+
+
+def _decode_partition(t: PartitionTable, k: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Values ``[start, stop)`` of partition ``k`` (LeCo or FOR layout)."""
+    n, w = t.n.item(k), t.width.item(k)
+    stop = n if stop is None else stop
+    deltas = (
+        unpack(t.payload_of(k), w, n)[start:stop].astype(np.int64)
+        if w
+        else np.zeros(stop - start, dtype=np.int64)
+    )
+    theta0, theta1, bias = t.theta0.item(k), t.theta1.item(k), t.bias.item(k)
+    if theta1 == 0.0:  # horizontal line: one prediction for every position
+        return deltas + (math.floor(theta0) + bias)
+    return np.floor(theta0 + theta1 * np.arange(start, stop)).astype(np.int64) + bias + deltas
+
+
+def _value_at(t: PartitionTable, k: int, i: int) -> int:
+    """Value ``i`` of partition ``k``: one model inference, one bit probe."""
+    theta0, theta1, bias, width, off = t.access_rows[k]
+    return math.floor(theta0 + theta1 * i) + bias + extract(t.payload, width, i, off)
+
+
+def decode_table(enc: EncodedSequence) -> np.ndarray:
+    """Full decode of a LeCo or FOR sequence, partition by partition."""
+    t = enc.partitions
+    if not len(t):
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate([_decode_partition(t, k) for k in range(len(t))])
+
+
+class _LeCoBase:
+    supports_random_access = True
+
+    def decode(self, enc: EncodedSequence) -> np.ndarray:
+        return decode_table(enc)
+
+    def access(self, enc: EncodedSequence, i: int) -> int:
+        k, off = enc.partition_of(i)
+        return _value_at(enc.partitions, k, off)
+
+    def decode_range(self, enc: EncodedSequence, start: int, stop: int) -> np.ndarray:
+        """Decode global positions ``[start, stop)`` touching only the needed partitions."""
+        t = enc.partitions
+        ks, offs = enc.partition_of(start)
+        ke, offe = enc.partition_of(stop - 1)
+        out = []
+        for k in range(ks, ke + 1):
+            a = offs if k == ks else 0
+            b = offe + 1 if k == ke else t.n.item(k)
+            out.append(_decode_partition(t, k, a, b))
+        return np.concatenate(out)
+
+
+def _fit_fixed(rows: np.ndarray, L: int):
+    """Full length-``L`` rows take the vectorized fit, the short tail the
+    Regressor (whose θ0-tweak the stored tail model keeps)."""
+    if rows.shape[1] == L:
+        return _fit_rows(rows)
+    theta0, theta1, bias, width, deltas = _fit_one(rows[0])
+    return np.array([theta0]), np.array([theta1]), np.array([bias]), np.array([width]), deltas[None]
+
+
+def _fixed_table(v: np.ndarray, L: int, fit) -> PartitionTable:
+    """Encode fixed-length-``L`` partitions block by block (see
+    ``partitioner.fixed_rows``): ``fit(rows)`` gives each row's
+    ``(θ0, θ1, bias, width, deltas)`` as :func:`_fit_rows` does, and
+    ``pack_rows`` packs a block's ``deltas − bias`` with a few calls per
+    distinct width."""
+    blocks = fixed_rows(v, L)
+    fits = [fit(rows) for rows in blocks]
+    cols = [[f[j] for f in fits] for j in range(4)] + [[np.full(*rows.shape) for rows in blocks]]
+    theta0, theta1, bias, width, n = (np.concatenate(c) if c else np.empty(0) for c in cols)
+    payload = b"".join(pack_rows(deltas - bias[:, None], w) for _, _, bias, w, deltas in fits)
+    return PartitionTable.build(theta0, theta1, bias, width, n, packed_size(n, width), payload)
 
 
 def fixed_widths_linear(values: np.ndarray, L: int) -> np.ndarray:
-    """Per-partition delta widths for fixed-length-L LeCo over ``values``
-    (vectorized over the full rows; the tail partition is handled alone)."""
+    """Per-partition delta widths for fixed-length-L LeCo over ``values``."""
     v = np.asarray(values, dtype=np.int64)
-    m = len(v) // L
-    widths = []
-    if m:
-        widths.append(_fit_rows(v[: m * L].reshape(m, L))[3])
-    if len(v) % L:
-        widths.append(np.array([_linear_width(v[m * L :])]))
-    return np.concatenate(widths)
+    return np.concatenate([_fit_fixed(rows, L)[3] for rows in fixed_rows(v, L)])
 
 
 class LeCoFix(_LeCoBase):
@@ -150,27 +207,13 @@ class LeCoFix(_LeCoBase):
         lens = np.full(len(ws), L)
         if len(sample) % L:
             lens[-1] = len(sample) % L
-        return int((25 * len(ws)) + ((lens * ws + 7) // 8).sum())
+        return int((25 * len(ws)) + packed_size(lens, ws).sum())
 
     def encode(self, values: np.ndarray, *, dtype_bits: int = 64) -> EncodedSequence:
         v = np.asarray(values, dtype=np.int64)
         L = self.partition_len or search_fixed_length(v, self._cost)
-        starts = fixed_partitions(len(v), L)
-        m = len(v) // L
-        parts: list[EncodedPartition] = []
-        if m:
-            theta0, theta1, bias, width, deltas = _fit_rows(v[: m * L].reshape(m, L))
-            for k in range(m):
-                payload = pack((deltas[k] - bias[k]).astype(np.uint64), int(width[k]))
-                parts.append(
-                    EncodedPartition(
-                        LinearModel(float(theta0[k]), float(theta1[k])),
-                        int(width[k]), L, payload, int(bias[k]),
-                    )
-                )
-        if len(v) % L:
-            parts.append(encode_partition_linear(v[m * L :]))
-        return EncodedSequence(self.name, len(v), dtype_bits, L, starts, parts)
+        table = _fixed_table(v, L, lambda rows: _fit_fixed(rows, L))
+        return EncodedSequence(self.name, len(v), dtype_bits, L, fixed_partitions(len(v), L), table)
 
 
 class LeCoVar(_LeCoBase):
@@ -186,33 +229,4 @@ class LeCoVar(_LeCoBase):
         starts = var_partitions(
             v, tau=self.tau, model_bits=LinearRegressor.MODEL_BITS, exact_width=_linear_width
         )
-        bounds = np.append(starts, len(v)).astype(np.int64)
-        parts = [encode_partition_linear(v[bounds[k] : bounds[k + 1]]) for k in range(len(starts))]
-        return EncodedSequence(self.name, len(v), dtype_bits, None, starts, parts)
-
-
-def decode_range_accum(enc: EncodedSequence) -> np.ndarray:
-    """Full decode via θ1-accumulation (§3.3 optimization).
-
-    Computes ``v̂_i = v̂_{i-1} + θ1`` instead of a multiply per position, plus
-    an exact error-correction list for positions where limited float
-    precision makes the accumulated floor differ from direct inference.
-    The correction list here is derived on the fly (its storage cost is
-    negligible and accounted conceptually with the delta array).
-    """
-    out = []
-    for p in enc.partitions:
-        # θ1-accumulation: v̂_i = v̂_{i-1} + θ1, i.e. θ0 + running sum of θ1,
-        # reproducing the FP rounding a serial accumulator would see.
-        if p.n > 1:
-            preds = np.concatenate(
-                ([p.model.theta0], p.model.theta0 + np.cumsum(np.full(p.n - 1, p.model.theta1)))
-            )
-        else:
-            preds = np.array([p.model.theta0])
-        acc = np.floor(preds)
-        exact = p.model.predict(np.arange(p.n))
-        corr = exact - acc.astype(np.int64)  # error-correction list
-        deltas = unpack(p.payload, p.width, p.n).astype(np.int64) if p.width else np.zeros(p.n, dtype=np.int64)
-        out.append(acc.astype(np.int64) + corr + p.bias + deltas)
-    return np.concatenate(out)
+        return EncodedSequence(self.name, len(v), dtype_bits, None, starts, _linear_table(v, starts))

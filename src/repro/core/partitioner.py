@@ -26,6 +26,7 @@ from .bitpack import bits_needed
 
 __all__ = [
     "fixed_partitions",
+    "fixed_rows",
     "search_fixed_length",
     "var_partitions",
     "dp_optimal_partitions",
@@ -40,6 +41,17 @@ def fixed_partitions(n: int, length: int) -> np.ndarray:
     if length <= 0:
         raise ValueError(f"partition length must be positive, got {length}")
     return np.arange(0, n, length, dtype=np.uint32)
+
+
+def fixed_rows(values: np.ndarray, length: int) -> list[np.ndarray]:
+    """``values`` cut into fixed-``length`` partitions as 2-D blocks: the
+    full partitions as one ``(m, length)`` matrix, then the short tail as a
+    ``(1, r)`` row; an empty block is left out."""
+    m = len(values) // length
+    blocks = [values[: m * length].reshape(m, length)] if m else []
+    if len(values) % length:
+        blocks.append(values[m * length :].reshape(1, -1))
+    return blocks
 
 
 def search_fixed_length(
@@ -111,12 +123,13 @@ def var_partitions(
     ``exact_width(sub)`` returns the true delta bit-width the codec would use
     for a partition holding ``sub`` (invoking its Regressor); the split phase
     only uses the cheap Δ̃ approximation, the merge phase uses exact widths.
-    Returns the partition start indices (uint32, first element 0).
+    Returns the partition start indices (uint32, first element 0; none for
+    empty input).
     """
     v = np.asarray(values, dtype=np.int64)
     n = len(v)
     if n <= MIN_PARTITION:
-        return np.zeros(1, dtype=np.uint32)
+        return np.zeros(min(n, 1), dtype=np.uint32)
     d = np.diff(v)
     threshold = tau * model_bits
 

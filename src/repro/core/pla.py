@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .format import EncodedSequence
-from .leco import _LeCoBase, encode_partition_linear
+from .leco import _LeCoBase, _linear_table
 
 __all__ = ["angle_partitions", "LeCoAngle"]
 
@@ -58,7 +58,9 @@ class LeCoAngle(_LeCoBase):
 
     def encode(self, values: np.ndarray, *, dtype_bits: int = 64) -> EncodedSequence:
         v = np.asarray(values, dtype=np.int64)
-        starts = angle_partitions(v, float(2 ** (self.epsilon_bits - 1)))
-        bounds = np.append(starts, len(v)).astype(np.int64)
-        parts = [encode_partition_linear(v[bounds[k] : bounds[k + 1]]) for k in range(len(starts))]
-        return EncodedSequence(self.name, len(v), dtype_bits, None, starts, parts)
+        starts = (
+            angle_partitions(v, float(2 ** (self.epsilon_bits - 1)))
+            if len(v)
+            else np.zeros(0, dtype=np.uint32)
+        )
+        return EncodedSequence(self.name, len(v), dtype_bits, None, starts, _linear_table(v, starts))

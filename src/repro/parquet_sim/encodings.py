@@ -83,32 +83,20 @@ def gather_positions(blob: bytes, positions: np.ndarray) -> np.ndarray:
     kind, obj = parse_chunk(blob)
     if kind in ("plain", "dict"):
         return np.asarray(obj)[positions]
-    from ..core.leco import _decode_partition
-    from ..baselines.for_codec import FORCodec
+    from ..core.leco import _decode_partition, _value_at
 
     enc: EncodedSequence = obj
+    t = enc.partitions
     out = np.empty(len(positions), dtype=np.int64)
     starts = np.append(enc.starts, enc.n).astype(np.int64)
     part_of = np.searchsorted(starts, positions, side="right") - 1
-    from ..core.bitpack import extract
-
-    for k in np.unique(part_of):
-        p = enc.partitions[int(k)]
+    for k in np.unique(part_of).tolist():
         sel = part_of == k
         local = positions[sel] - starts[k]
-        if len(local) * 64 < p.n:
+        if len(local) * 64 < t.n.item(k):
             # sparsely touched partition: O(1) random accesses beat a full
             # partition decode (this is LeCo/FOR's §4.3.2 access path).
-            if enc.scheme == "FOR":
-                out[sel] = [p.bias + extract(p.payload, p.width, int(i)) for i in local]
-            else:
-                out[sel] = [
-                    p.model.predict_one(int(i)) + p.bias + extract(p.payload, p.width, int(i))
-                    for i in local
-                ]
-        elif enc.scheme == "FOR":
-            deltas = unpack(p.payload, p.width, p.n) if p.width else np.zeros(p.n, np.uint64)
-            out[sel] = p.bias + deltas.astype(np.int64)[local]
+            out[sel] = [_value_at(t, k, i) for i in local.tolist()]
         else:
-            out[sel] = _decode_partition(p)[local]
+            out[sel] = _decode_partition(t, k)[local]
     return out

@@ -54,15 +54,6 @@ def _read(path: str, meta_row, io_gbps: float) -> tuple[bytes, int, float, float
     return blob, len(raw), io_s, time.perf_counter() - t0
 
 
-def _seq_partition_bounds(enc: EncodedSequence) -> tuple[np.ndarray, np.ndarray]:
-    los, his = [], []
-    for p in enc.partitions:
-        ends = (p.model.predict_one(0), p.model.predict_one(max(0, p.n - 1)))
-        los.append(min(ends) + p.bias)
-        his.append(max(ends) + p.bias + (1 << p.width) - 1)
-    return np.asarray(los, dtype=np.int64), np.asarray(his, dtype=np.int64)
-
-
 def _windows_overlapping(lo: int, hi: int, t1: int, t2: int, mod: int) -> list[tuple[int, int]]:
     """Daily windows ``[d·mod+t1, d·mod+t2]`` intersecting ``[lo, hi]``."""
     out = []
@@ -80,23 +71,25 @@ def _mod_positions(blob: bytes, t1: int, t2: int, mod: int) -> np.ndarray:
         v = np.asarray(obj)
         return np.flatnonzero((v % mod > t1) & (v % mod < t2))
     enc: EncodedSequence = obj
-    plo, phi = _seq_partition_bounds(enc)
+    t = enc.partitions
+    plo, phi = enc.value_bounds()
     starts = np.append(enc.starts, enc.n).astype(np.int64)
     out = []
-    for k, p in enumerate(enc.partitions):
-        wins = _windows_overlapping(int(plo[k]), int(phi[k]), t1, t2, mod)
+    for k in range(len(t)):
+        wins = _windows_overlapping(plo[k], phi[k], t1, t2, mod)
         if not wins:
             continue  # partition skipped from the header alone
-        if enc.scheme == "FOR" or p.model.theta1 <= 0:
+        t0_, t1_ = t.theta0.item(k), t.theta1.item(k)
+        if t1_ <= 0:  # FOR, or a LeCo line with no slope to invert
             vals = _decode_part(enc, k)
             m = (vals % mod > t1) & (vals % mod < t2)
             out.append(starts[k] + np.flatnonzero(m))
             continue
         # LeCo: invert the model per window to bound candidate positions.
-        t0_, t1_ = p.model.theta0, p.model.theta1
+        bias, w, n = t.bias.item(k), t.width.item(k), t.n.item(k)
         for wlo, whi in wins:
-            a = max(0, int(np.floor((wlo - p.bias - (1 << p.width) - t0_) / t1_)))
-            b = min(p.n, int(np.ceil((whi - p.bias - t0_) / t1_)) + 1)
+            a = max(0, int(np.floor((wlo - bias - (1 << w) - t0_) / t1_)))
+            b = min(n, int(np.ceil((whi - bias - t0_) / t1_)) + 1)
             if a >= b:
                 continue
             vals = _decode_part(enc, k, a, b)
@@ -109,14 +102,8 @@ def _mod_positions(blob: bytes, t1: int, t2: int, mod: int) -> np.ndarray:
 
 def _decode_part(enc: EncodedSequence, k: int, a: int = 0, b: int | None = None) -> np.ndarray:
     from ..core.leco import _decode_partition
-    from ..core.bitpack import unpack
 
-    p = enc.partitions[k]
-    b = p.n if b is None else b
-    if enc.scheme == "FOR":
-        deltas = unpack(p.payload, p.width, p.n)[a:b] if p.width else np.zeros(b - a, np.uint64)
-        return p.bias + deltas.astype(np.int64)
-    return _decode_partition(p, a, b)
+    return _decode_partition(enc.partitions, k, a, b)
 
 
 def _meta_df(spark: SparkSession, metas: list[ChunkMeta], col: str) -> DataFrame:

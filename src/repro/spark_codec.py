@@ -103,38 +103,30 @@ def decode_column(enc_df: DataFrame, column: str = "v") -> DataFrame:
     return enc_df.mapInPandas(decode, schema=StructType([StructField(column, LongType())]))
 
 
-def _partition_bounds(enc: EncodedSequence) -> tuple[np.ndarray, np.ndarray]:
-    """Value bounds per LeCo partition from header only (no delta decode)."""
-    los, his = [], []
-    for p in enc.partitions:
-        ends = (p.model.predict_one(0), p.model.predict_one(p.n - 1))
-        los.append(min(ends) + p.bias)
-        his.append(max(ends) + p.bias + (1 << p.width) - 1)
-    return np.asarray(los), np.asarray(his)
-
-
 def _positions_in_range(enc: EncodedSequence, lo: int, hi: int) -> np.ndarray:
     """Local decode of positions whose value may lie in ``[lo, hi]``:
     partition-level skip by model bounds, then model inversion to bound the
     candidate position range inside each (near-monotonic) partition, then an
     exact check on the decoded candidates.  Returns qualifying *global*
     positions and their values."""
-    plo, phi = _partition_bounds(enc)
+    t = enc.partitions
+    plo, phi = enc.value_bounds()
     out = []
     starts = np.append(enc.starts, enc.n).astype(np.int64)
-    for k, p in enumerate(enc.partitions):
+    for k in range(len(t)):
         if phi[k] < lo or plo[k] > hi:
             continue  # partition skipped via header only
-        a, b = 0, p.n
-        t1 = p.model.theta1
+        a, b = 0, t.n.item(k)
+        t0, t1 = t.theta0.item(k), t.theta1.item(k)
         if t1 > 0:  # invert the model to bound candidate positions (§5.1.1)
             # value at i is within [pred(i)+bias, pred(i)+bias+2^w), so
             # candidates satisfy pred(i) >= lo - bias - 2^w and pred(i) <= hi - bias
-            a = max(0, int(np.floor((lo - p.bias - (1 << p.width) - p.model.theta0) / t1)))
-            b = min(p.n, int(np.ceil((hi - p.bias - p.model.theta0) / t1)) + 1)
+            bias, w = t.bias.item(k), t.width.item(k)
+            a = max(0, int(np.floor((lo - bias - (1 << w) - t0) / t1)))
+            b = min(b, int(np.ceil((hi - bias - t0) / t1)) + 1)
             if a >= b:
                 continue
-        vals = _decode_partition(p, a, b)
+        vals = _decode_partition(t, k, a, b)
         mask = (vals >= lo) & (vals <= hi)
         out.append((starts[k] + a + np.flatnonzero(mask), vals[mask]))
     if not out:

@@ -4,12 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unittest import mock
+
+from repro.core import bitpack
 from repro.core.bitpack import (
     bits_needed,
+    bits_needed_vec,
     extract,
     extract_bigint,
     pack,
     pack_bigints,
+    pack_rows,
     unpack,
     unpack_bigints,
 )
@@ -103,3 +108,41 @@ def test_bigint_hypothesis(vals):
     width = max(max(v.bit_length() for v in vals), 1)
     buf = pack_bigints(vals, width)
     assert unpack_bigints(buf, width, len(vals)) == vals
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=50))
+@settings(max_examples=60, deadline=None)
+def test_bits_needed_vec_exact(values):
+    v = np.array(values + [0, 1, 2**53 - 1, 2**53, 2**63, 2**64 - 1], dtype=np.uint64)
+    assert bits_needed_vec(v).tolist() == [int(x).bit_length() for x in v.tolist()]
+    # a spread taken in wrapping int64 arithmetic still gives the exact width
+    lo, hi = np.array([-(2**63), -5]), np.array([2**63 - 1, 7])
+    assert bits_needed_vec(hi - lo).tolist() == [64, 4]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_pack_rows_matches_bigint_reference(data):
+    """Every row packs exactly like the pure-Python reference, for widths
+    0..64, L = 1, L not a multiple of 8, and rows split across blocks."""
+    m = data.draw(st.integers(1, 6))
+    L = data.draw(st.integers(1, 40))
+    widths = data.draw(st.lists(st.integers(0, 64), min_size=m, max_size=m))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    block = data.draw(st.sampled_from([8, 16, 64, bitpack._BLOCK_VALUES]))
+    g = np.random.default_rng(seed)
+    rows = g.integers(0, 2**64 - 1, (m, L), dtype=np.uint64, endpoint=True)
+    rows &= np.array([(1 << w) - 1 for w in widths], dtype=np.uint64)[:, None]
+    want = b"".join(pack_bigints(r.tolist(), w) for r, w in zip(rows, widths))
+    with mock.patch.object(bitpack, "_BLOCK_VALUES", block):
+        assert pack_rows(rows, widths) == want
+        assert b"".join(pack(r, w) for r, w in zip(rows, widths)) == want
+
+
+def test_pack_rows_rejects_bad_input():
+    with pytest.raises(ValueError):
+        pack_rows(np.array([[8, 1]], dtype=np.uint64), [3])
+    with pytest.raises(ValueError):
+        pack_rows(np.array([[1, 1]], dtype=np.uint64), [65])
+    with pytest.raises(ValueError):
+        pack_rows(np.array([[1, 1]], dtype=np.uint64), [1, 1])

@@ -1,20 +1,23 @@
-"""LeCo-specific behavioural tests: format invariants, range decode, the
-θ1-accumulation optimization, and paper-claimed dominance properties."""
+"""LeCo-specific behavioural tests: format invariants, range decode, exact
+model inference, and paper-claimed dominance properties."""
 import numpy as np
 import pytest
 
 from repro.core.format import EncodedSequence, PARTITION_HEADER_BYTES
-from repro.core.leco import LeCoFix, LeCoVar, decode_range_accum, encode_partition_linear
+from repro.core.leco import LeCoFix, LeCoVar
 from repro.datasets import INTEGER_DATASETS
 
 
 def test_partition_encoding_invariants():
     g = np.random.default_rng(0)
     v = np.cumsum(g.integers(0, 9, 500)).astype(np.int64)
-    p = encode_partition_linear(v)
-    assert p.n == 500
-    assert len(p.payload) == (500 * p.width + 7) // 8
-    assert p.nbytes() == PARTITION_HEADER_BYTES + len(p.payload)
+    enc = LeCoFix(500).encode(v)
+    t = enc.partitions
+    assert len(t) == 1 and t.n[0] == 500
+    assert t.payload_len[0] == (500 * int(t.width[0]) + 7) // 8
+    # global header (17) + fixed_len (4) + partition header + payload_len (4) + payload
+    size = 17 + 4 + PARTITION_HEADER_BYTES + 4 + int(t.payload_len[0])
+    assert enc.nbytes() == len(enc.to_bytes()) == size
 
 
 @pytest.mark.parametrize("dataset", ["linear", "wiki", "movieid", "fb"])
@@ -35,18 +38,20 @@ def test_decode_range_var_partitions():
 
 
 @pytest.mark.parametrize("dataset", list(INTEGER_DATASETS))
-def test_theta1_accumulation_with_correction_is_exact(dataset):
-    """§3.3: range decode via θ1-accumulation + error-correction list must be
-    bit-identical to direct model inference."""
+def test_decode_matches_access(dataset):
+    """§3.3: bulk decode (vectorized inference per partition) must be
+    bit-identical to direct scalar inference at every position."""
     v, bits = INTEGER_DATASETS[dataset](3000)
-    enc = LeCoFix(256).encode(v, dtype_bits=bits)
-    assert np.array_equal(decode_range_accum(enc), v)
+    codec = LeCoFix(256)
+    enc = codec.encode(v, dtype_bits=bits)
+    assert np.array_equal(codec.decode(enc), v)
+    assert [codec.access(enc, i) for i in range(len(v))] == v.tolist()
 
 
 def test_model_share_breakdown_sums():
     v, bits = INTEGER_DATASETS["ml"](4000)
     enc = LeCoFix(512).encode(v, dtype_bits=bits)
-    delta_bytes = sum(len(p.payload) for p in enc.partitions)
+    delta_bytes = int(enc.partitions.payload_len.sum())
     assert enc.model_bytes() + delta_bytes == enc.nbytes()
 
 
@@ -67,7 +72,7 @@ def test_fixed_len_partition_of():
     assert enc.partition_of(100) == (1, 0)
     assert enc.partition_of(1049) == (10, 49)
     assert len(enc.partitions) == 11
-    assert enc.partitions[-1].n == 50
+    assert enc.partitions.n[-1] == 50
 
 
 def test_var_partition_of():

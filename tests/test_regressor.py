@@ -1,8 +1,12 @@
 """Unit tests for the Regressor (§3.1): LSM fit + θ0-tweak."""
+import math
+
 import numpy as np
 import pytest
 
-from repro.core.regressor import ConstantRegressor, LinearModel, LinearRegressor, delta_width
+from repro.baselines.for_codec import FORCodec
+from repro.core.leco import _linear_width
+from repro.core.regressor import LinearModel, LinearRegressor
 
 
 def test_fit_exact_line():
@@ -10,8 +14,7 @@ def test_fit_exact_line():
     m = LinearRegressor().fit(v)
     assert m.theta1 == pytest.approx(7.0)
     # exact line → zero-width deltas
-    w, bias, n = delta_width(v, m)
-    assert w <= 1 and n == 100
+    assert _linear_width(v) <= 1
 
 
 def test_fit_single_point():
@@ -22,8 +25,6 @@ def test_fit_single_point():
 def test_fit_empty_raises():
     with pytest.raises(ValueError):
         LinearRegressor().fit(np.array([]))
-    with pytest.raises(ValueError):
-        ConstantRegressor().fit(np.array([]))
 
 
 def test_theta0_tweak_balances_errors():
@@ -55,30 +56,28 @@ def test_tweak_never_hurts_width():
 
 
 def test_constant_regressor_is_for_model():
+    """FOR stores the horizontal line: θ0 = θ1 = 0, frame minimum in bias."""
     v = np.array([5, 9, 7, 5, 12])
-    m = ConstantRegressor().fit(v)
-    assert (m.theta0, m.theta1) == (5.0, 0.0)
-    assert m.predict_one(3) == 5
+    t = FORCodec(5).encode(v).partitions
+    assert (t.theta0[0], t.theta1[0], t.bias[0]) == (0.0, 0.0, 5)
 
 
 def test_predict_vector_matches_scalar():
+    """The access path's scalar ``math.floor`` agrees with ``predict``."""
     m = LinearModel(10.37, 2.91)
     idx = np.arange(50)
     vec = m.predict(idx)
     for i in idx:
-        assert vec[i] == m.predict_one(int(i))
+        assert vec[i] == math.floor(m.theta0 + m.theta1 * int(i))
 
 
 def test_delta_width_values():
     v = np.array([10, 11, 12, 13])
-    m = LinearModel(10.0, 1.0)
-    w, bias, n = delta_width(v, m)
-    assert (w, bias, n) == (0, 0, 4)
+    assert _linear_width(v) == 0
 
 
 def test_negative_slope_fit():
     v = (1000 - 3 * np.arange(100)).astype(np.int64)
     m = LinearRegressor().fit(v)
     assert m.theta1 == pytest.approx(-3.0)
-    w, _, _ = delta_width(v, m)
-    assert w <= 1
+    assert _linear_width(v) <= 1
