@@ -242,6 +242,8 @@ class EncodedSequence:
         payload_len = hdr["payload_len"].astype(np.int64)
         if n_parts and width.max() > 64:
             raise ValueError(f"delta width {width.max()} exceeds 64")
+        if not (np.isfinite(hdr["theta0"]).all() and np.isfinite(hdr["theta1"]).all()):
+            raise ValueError("non-finite model parameter")
         if not np.array_equal(payload_len, packed_size(_payload_counts(scheme, lens), width.astype(np.int64))):
             raise ValueError("payload length does not match partition length and width")
         table = PartitionTable(

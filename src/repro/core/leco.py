@@ -13,6 +13,7 @@ decode and access kernels.
 """
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from .format import EncodedSequence, PartitionTable
 from .partitioner import fixed_partitions, fixed_rows, search_fixed_length, var_partitions
 from .regressor import LinearRegressor
 
-__all__ = ["LeCoFix", "LeCoVar"]
+__all__ = ["LeCoFix", "LeCoVar", "positions_in"]
 
 _REGRESSOR = LinearRegressor()
 
@@ -125,6 +126,59 @@ def _decode_partition(t: PartitionTable, k: int, start: int = 0, stop: int | Non
     if theta1 == 0.0:  # horizontal line: one prediction for every position
         return deltas + (math.floor(theta0) + bias)
     return np.floor(theta0 + theta1 * np.arange(start, stop)).astype(np.int64) + bias + deltas
+
+
+def positions_in(enc: EncodedSequence, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and values of ``enc``'s values inside the union of the
+    inclusive intervals ``[lo[j], hi[j]]`` (sorted, disjoint), for a LeCo or
+    FOR sequence.
+
+    A partition none of whose intervals meets its header bounds is skipped.
+    Otherwise a rising line (θ1 > 0) is inverted (§5.1.1's computation
+    pruning): value ``i`` lies in ``floor(θ0 + θ1·i) + bias + [0, 2^w)``, so
+    each interval maps to the candidate positions ``[a, b)`` found by
+    bisecting the decoder's own prediction, which never decreases in ``i``.
+    Overlapping candidate ranges are merged and each is decoded once; a
+    flat or falling line (FOR included) decodes the whole partition.
+    """
+    lo, hi = [int(x) for x in lo], [int(x) for x in hi]
+    lo_a, hi_a = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+    t = enc.partitions
+    starts = np.append(enc.starts, enc.n).astype(np.int64).tolist()
+    pos, vals = [], []
+    for k, (plo, phi) in enumerate(zip(*enc.value_bounds())):
+        j0, j1 = bisect.bisect_left(hi, plo), bisect.bisect_right(lo, phi)
+        if j0 >= j1:
+            continue  # partition skipped from the header alone
+        theta0, theta1, bias, width, _ = t.access_rows[k]
+        n = t.n.item(k)
+        if theta1 <= 0:
+            ranges = [[0, n, j0, j1]]
+        else:
+            ranges, top = [], bias + (1 << width) - 1
+            idx = range(n)
+
+            def pred(i):
+                return math.floor(theta0 + theta1 * i)
+
+            for j in range(j0, j1):
+                a = bisect.bisect_left(idx, lo[j] - top, key=pred)
+                b = bisect.bisect_right(idx, hi[j] - bias, key=pred)
+                if a >= b:
+                    continue
+                if ranges and a <= ranges[-1][1]:  # a and b never decrease in j
+                    ranges[-1][1], ranges[-1][3] = b, j + 1
+                else:
+                    ranges.append([a, b, j, j + 1])
+        for a, b, ja, jb in ranges:
+            v = _decode_partition(t, k, a, b)
+            j = np.searchsorted(lo_a[ja:jb], v, side="right") - 1
+            keep = np.flatnonzero((j >= 0) & (v <= hi_a[ja:jb][j]))
+            pos.append(starts[k] + a + keep)
+            vals.append(v[keep])
+    if not pos:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    return np.concatenate(pos), np.concatenate(vals)
 
 
 def _value_at(t: PartitionTable, k: int, i: int) -> int:

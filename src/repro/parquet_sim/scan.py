@@ -15,7 +15,9 @@ almost-sorted ``ts``: Default decodes everything; FOR skips partitions
 whose header range intersects no daily window but must decode a partition
 fully once it overlaps; LeCo additionally inverts its model to decode only
 the candidate position range inside a partition (§5.1.1's computation
-pruning — valid because a partition's model bounds all its values).
+pruning — valid because a partition's model bounds all its values).  Both
+run through ``core.leco.positions_in``, the one exact pruning kernel that
+``spark_codec.filter_scan`` uses too.
 """
 from __future__ import annotations
 
@@ -30,9 +32,11 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 from ..core.format import EncodedSequence
-from .encodings import decode_chunk, gather_positions, parse_chunk
+from ..core.leco import _decode_partition, positions_in
+from .encodings import gather_positions, parse_chunk
 from .format import ChunkMeta, read_footer
 
+_I64 = np.iinfo(np.int64)
 _STATS_SCHEMA = StructType(
     [
         StructField("rows_out", LongType()),
@@ -54,55 +58,30 @@ def _read(path: str, meta_row, io_gbps: float) -> tuple[bytes, int, float, float
     return blob, len(raw), io_s, time.perf_counter() - t0
 
 
-def _windows_overlapping(lo: int, hi: int, t1: int, t2: int, mod: int) -> list[tuple[int, int]]:
-    """Daily windows ``[d·mod+t1, d·mod+t2]`` intersecting ``[lo, hi]``."""
-    out = []
-    for d in range(lo // mod, hi // mod + 1):
-        wlo, whi = d * mod + t1, d * mod + t2
-        if whi >= lo and wlo <= hi:
-            out.append((max(wlo, lo), min(whi, hi)))
-    return out
-
-
 def _mod_positions(blob: bytes, t1: int, t2: int, mod: int) -> np.ndarray:
-    """Chunk-local positions where ``t1 < v % mod < t2`` with pruning."""
+    """Chunk-local positions where ``t1 < v % mod < t2`` with pruning.
+
+    FOR/LeCo chunks pass the exact daily windows
+    ``[d·mod + max(t1+1, 0), d·mod + min(t2, mod) − 1]``, clipped to the
+    chunk's value bounds, to :func:`positions_in`."""
     kind, obj = parse_chunk(blob)
     if kind in ("plain", "dict"):
         v = np.asarray(obj)
         return np.flatnonzero((v % mod > t1) & (v % mod < t2))
     enc: EncodedSequence = obj
-    t = enc.partitions
     plo, phi = enc.value_bounds()
-    starts = np.append(enc.starts, enc.n).astype(np.int64)
-    out = []
-    for k in range(len(t)):
-        wins = _windows_overlapping(plo[k], phi[k], t1, t2, mod)
-        if not wins:
-            continue  # partition skipped from the header alone
-        t0_, t1_ = t.theta0.item(k), t.theta1.item(k)
-        if t1_ <= 0:  # FOR, or a LeCo line with no slope to invert
-            vals = _decode_part(enc, k)
-            m = (vals % mod > t1) & (vals % mod < t2)
-            out.append(starts[k] + np.flatnonzero(m))
-            continue
-        # LeCo: invert the model per window to bound candidate positions.
-        bias, w, n = t.bias.item(k), t.width.item(k), t.n.item(k)
-        for wlo, whi in wins:
-            a = max(0, int(np.floor((wlo - bias - (1 << w) - t0_) / t1_)))
-            b = min(n, int(np.ceil((whi - bias - t0_) / t1_)) + 1)
-            if a >= b:
-                continue
-            vals = _decode_part(enc, k, a, b)
-            m = (vals % mod > t1) & (vals % mod < t2)
-            out.append(starts[k] + a + np.flatnonzero(m))
-    if not out:
+    if not plo:
         return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(out))
+    # header bounds may pass the int64 range (``bias + 2^width``)
+    lo, hi = max(min(plo), _I64.min), min(max(phi), _I64.max)
+    w_lo, w_hi = max(t1 + 1, 0), min(t2, mod) - 1
+    wins = [(max(d * mod + w_lo, lo), min(d * mod + w_hi, hi)) for d in range(lo // mod, hi // mod + 1)]
+    wins = [w for w in wins if w[0] <= w[1]]
+    return positions_in(enc, [w[0] for w in wins], [w[1] for w in wins])[0]
 
 
 def _decode_part(enc: EncodedSequence, k: int, a: int = 0, b: int | None = None) -> np.ndarray:
-    from ..core.leco import _decode_partition
-
+    # perfbench's tracer names this function; keep it while it does
     return _decode_partition(enc.partitions, k, a, b)
 
 

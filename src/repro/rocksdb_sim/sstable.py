@@ -9,7 +9,6 @@ only builds the table and parses blocks.
 """
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 
@@ -74,10 +73,6 @@ def build_sstable(
         )
         for i, (_, last, off, size) in enumerate(blocks)
     ]
-
-
-def read_block(path_fd: int, offset: int, size: int) -> bytes:
-    return os.pread(path_fd, size, offset)
 
 
 def parse_block(blob: bytes) -> list[tuple[bytes, bytes]]:

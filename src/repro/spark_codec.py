@@ -11,9 +11,11 @@ and the reverse on the scan side with model-based partition skipping).
   ``chunk_rows``), carrying the self-describing §3.3 format.
 * :func:`decode_column` — full scan/decode of an encoded column.
 * :func:`filter_scan` — range-predicate scan that skips whole chunks by
-  zone map, skips LeCo partitions by model bounds, and uses model
-  inversion to decode only the qualifying position range of a partition
-  (the §5.1.1 computation-pruning trick).
+  zone map and hands FOR and LeCo chunks to ``core.leco.positions_in``, the
+  one exact pruning kernel: it skips partitions by their header bounds and
+  inverts a LeCo model to decode only the candidate position range of a
+  partition (the §5.1.1 computation-pruning trick).  Only Delta chunks,
+  whose headers bound no values, are decoded whole and then filtered.
 
 All transforms go through the DataFrame API so Catalyst plans the
 surrounding query; the codec work itself is columnar numpy inside the
@@ -25,7 +27,7 @@ from typing import Iterator
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql.types import (
     BinaryType,
     LongType,
@@ -36,7 +38,7 @@ from pyspark.sql.types import (
 
 from .core.codec_api import get_codec
 from .core.format import EncodedSequence
-from .core.leco import _decode_partition
+from .core.leco import positions_in
 
 _ENC_SCHEMA = StructType(
     [
@@ -103,40 +105,9 @@ def decode_column(enc_df: DataFrame, column: str = "v") -> DataFrame:
     return enc_df.mapInPandas(decode, schema=StructType([StructField(column, LongType())]))
 
 
-def _positions_in_range(enc: EncodedSequence, lo: int, hi: int) -> np.ndarray:
-    """Local decode of positions whose value may lie in ``[lo, hi]``:
-    partition-level skip by model bounds, then model inversion to bound the
-    candidate position range inside each (near-monotonic) partition, then an
-    exact check on the decoded candidates.  Returns qualifying *global*
-    positions and their values."""
-    t = enc.partitions
-    plo, phi = enc.value_bounds()
-    out = []
-    starts = np.append(enc.starts, enc.n).astype(np.int64)
-    for k in range(len(t)):
-        if phi[k] < lo or plo[k] > hi:
-            continue  # partition skipped via header only
-        a, b = 0, t.n.item(k)
-        t0, t1 = t.theta0.item(k), t.theta1.item(k)
-        if t1 > 0:  # invert the model to bound candidate positions (§5.1.1)
-            # value at i is within [pred(i)+bias, pred(i)+bias+2^w), so
-            # candidates satisfy pred(i) >= lo - bias - 2^w and pred(i) <= hi - bias
-            bias, w = t.bias.item(k), t.width.item(k)
-            a = max(0, int(np.floor((lo - bias - (1 << w) - t0) / t1)))
-            b = min(b, int(np.ceil((hi - bias - t0) / t1)) + 1)
-            if a >= b:
-                continue
-        vals = _decode_partition(t, k, a, b)
-        mask = (vals >= lo) & (vals <= hi)
-        out.append((starts[k] + a + np.flatnonzero(mask), vals[mask]))
-    if not out:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate([o[0] for o in out]), np.concatenate([o[1] for o in out])
-
-
 def filter_scan(enc_df: DataFrame, lo: int, hi: int, column: str = "v") -> DataFrame:
-    """Return values in ``[lo, hi]`` from a LeCo-encoded column, using chunk
-    zone maps, partition-header skipping and model-inversion pruning."""
+    """Return values in ``[lo, hi]`` from an encoded column, using chunk
+    zone maps, then partition-header skipping and model-inversion pruning."""
 
     def scan(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for b in batches:
@@ -144,11 +115,11 @@ def filter_scan(enc_df: DataFrame, lo: int, hi: int, column: str = "v") -> DataF
                 if row.vmax < lo or row.vmin > hi:
                     continue  # chunk skipped via zone map
                 enc = EncodedSequence.from_bytes(bytes(row.blob))
-                if not enc.scheme.startswith("LeCo"):
+                if enc.scheme.startswith("Delta"):  # no value bounds in the headers
                     values = get_codec(row.scheme).decode(enc)
                     values = values[(values >= lo) & (values <= hi)]
                 else:
-                    _, values = _positions_in_range(enc, lo, hi)
+                    _, values = positions_in(enc, [lo], [hi])
                 yield pd.DataFrame({column: values})
 
     return enc_df.mapInPandas(scan, schema=StructType([StructField(column, LongType())]))

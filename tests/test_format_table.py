@@ -72,6 +72,15 @@ def test_rejects_width_over_64():
         EncodedSequence.from_bytes(bytes(blob))
 
 
+@pytest.mark.parametrize("field_at", [0, 8], ids=["theta0", "theta1"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_rejects_non_finite_model(field_at, value):
+    blob = bytearray(_blob(np.arange(10) * 3 % 7))
+    struct.pack_into("<d", blob, 17 + 4 + field_at, value)  # first partition header
+    with pytest.raises(ValueError, match="non-finite"):
+        EncodedSequence.from_bytes(bytes(blob))
+
+
 def test_rejects_payload_length_mismatch():
     blob = bytearray(_blob([5, 1, 9, 3], LeCoFix(4)))
     at = 17 + 4 + 25  # the only partition's payload_len field

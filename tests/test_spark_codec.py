@@ -6,6 +6,7 @@ results over decoded data checked row-for-row against DuckDB over the
 original input.
 """
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro import synth_data
@@ -55,6 +56,23 @@ def test_filter_scan_matches_oracle(spark, lineitem):
 def test_filter_scan_empty_range(spark, lineitem):
     enc = encode_column(lineitem, "l_orderkey", scheme="LeCo-fix", dtype_bits=32)
     assert filter_scan(enc, -100, -1, column="l_orderkey").count() == 0
+
+
+@pytest.fixture(scope="module")
+def sorted_repeats(spark):
+    v = np.sort(np.random.default_rng(0).integers(0, 3000, 100_000))
+    return spark.createDataFrame(pd.DataFrame({"v": v})).cache()
+
+
+@pytest.mark.parametrize("scheme", ["LeCo-fix", "FOR"])
+def test_filter_scan_slope_below_one_matches_oracle(spark, sorted_repeats, scheme):
+    enc = encode_column(sorted_repeats, "v", scheme=scheme, chunk_rows=25_000).cache()
+    for lo, hi in [(0, 0), (17, 60), (1000, 1003), (1500, 2400), (2990, 5000), (-10, -1)]:
+        assert_equivalent(
+            filter_scan(enc, lo, hi),
+            f"SELECT v FROM t WHERE v BETWEEN {lo} AND {hi}",
+            t=sorted_repeats,
+        )
 
 
 def test_aggregate_over_decoded_matches_oracle(spark, lineitem):
