@@ -21,7 +21,7 @@ import numpy as np
 from .bitpack import bits_needed_vec, extract, pack, pack_rows, packed_size, unpack
 from .format import EncodedSequence, PartitionTable
 from .partitioner import fixed_partitions, fixed_rows, search_fixed_length, var_partitions
-from .regressor import LinearRegressor
+from .regressor import LinearRegressor, positions
 
 __all__ = ["LeCoFix", "LeCoVar", "positions_in"]
 
@@ -88,7 +88,7 @@ def _fit_one(values: np.ndarray) -> tuple[float, float, int, int, np.ndarray]:
         model = _REGRESSOR.fit(v)
         t0, t1 = model.theta0, model.theta1
         if max(abs(math.floor(t0)), abs(math.floor(t0 + t1 * (len(v) - 1)))) < _SAFE:
-            deltas = v - model.predict(np.arange(len(v)))
+            deltas = v - model.predict(positions(len(v)))
             dlo = int(deltas.min())
             w_lin = (int(deltas.max()) - dlo).bit_length()
             if w_lin <= w_const:

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bitpack import bits_needed
+from .bitpack import bits_needed_vec
 
 __all__ = [
     "fixed_partitions",
@@ -105,9 +105,40 @@ def search_fixed_length(
     return int(best_l)
 
 
-def _diff_width(dmax: int, dmin: int) -> int:
-    """Δ̃: bit-width implied by the spread of first differences."""
-    return bits_needed(dmax - dmin)
+#: first block of first differences the split phase scans per partition;
+#: a block with no cut grows ×4 and is scanned again.
+_SPLIT_BLOCK = 64
+
+
+def _split(d: np.ndarray, threshold: float) -> list[int]:
+    """Split phase: grow each partition left to right while the cost of
+    adding the next value, ``C = (len+1)·Δ̃_new − len·Δ̃_old``, stays within
+    ``threshold``; the first value with ``C > threshold`` starts a new one.
+
+    ``d`` holds the (wrapping int64) first differences.  Each partition's
+    running max/min of ``d`` is taken over a block at a time, so every
+    candidate cost of the block is evaluated in one vectorized step; the
+    spread is read as uint64, exact over the full int64 range."""
+    starts = [0]
+    p, size = 0, _SPLIT_BLOCK
+    lens = np.arange(MIN_PARTITION, len(d) + 2)  # partition length before each candidate
+    while len(d) - p >= MIN_PARTITION:
+        blk = d[p : p + size]
+        w = bits_needed_vec(np.maximum.accumulate(blk) - np.minimum.accumulate(blk))
+        # entry i of the block adds value p + 1 + i, whose partition then
+        # holds i + 2 values; the first MIN_PARTITION - 1 join unconditionally
+        ln = lens[: len(blk) - MIN_PARTITION + 1]
+        cost = (ln + 1) * w[MIN_PARTITION - 1 :] - ln * w[MIN_PARTITION - 2 : -1]
+        cut = np.flatnonzero(cost > threshold)
+        if len(cut):
+            p += MIN_PARTITION + int(cut[0])
+            starts.append(p)
+            size = _SPLIT_BLOCK
+        elif p + size >= len(d):
+            break
+        else:
+            size *= 4
+    return starts
 
 
 def var_partitions(
@@ -122,7 +153,8 @@ def var_partitions(
 
     ``exact_width(sub)`` returns the true delta bit-width the codec would use
     for a partition holding ``sub`` (invoking its Regressor); the split phase
-    only uses the cheap Δ̃ approximation, the merge phase uses exact widths.
+    only uses the cheap Δ̃ approximation, the refine and merge phases use
+    exact widths, each range's width computed once per call.
     Returns the partition start indices (uint32, first element 0; none for
     empty input).
     """
@@ -130,30 +162,16 @@ def var_partitions(
     n = len(v)
     if n <= MIN_PARTITION:
         return np.zeros(min(n, 1), dtype=np.uint32)
-    d = np.diff(v)
-    threshold = tau * model_bits
+    starts = _split(np.diff(v), tau * model_bits)
 
-    # --- split phase: grow left-to-right under the cost rule ---------------
-    starts = [0]
-    p_start = 0
-    dmax = dmin = None
-    for j in range(1, n):
-        dj = int(d[j - 1])
-        length = j - p_start
-        if length < MIN_PARTITION:
-            dmax = dj if dmax is None else max(dmax, dj)
-            dmin = dj if dmin is None else min(dmin, dj)
-            continue
-        w_old = _diff_width(dmax, dmin)
-        nmax, nmin = max(dmax, dj), min(dmin, dj)
-        w_new = _diff_width(nmax, nmin)
-        cost = (length + 1) * w_new - length * w_old
-        if cost <= threshold:
-            dmax, dmin = nmax, nmin
-        else:
-            starts.append(j)
-            p_start = j
-            dmax = dmin = None
+    memo: dict[tuple[int, int], int] = {}
+
+    def width(a: int, b: int) -> int:
+        """Exact width of ``v[a:b]``; a range is fitted at most once."""
+        w = memo.get((a, b))
+        if w is None:
+            w = memo[a, b] = exact_width(v[a:b])
+        return w
 
     # --- refine phase: recursively bisect partitions while it shrinks the
     # exact encoded size.  The split phase's Δ̃ metric is insensitive to the
@@ -165,18 +183,18 @@ def var_partitions(
     refined: list[int] = []
     for k, s in enumerate(starts):
         e = starts[k + 1] if k + 1 < len(starts) else n
-        refined.extend(_bisect(v, s, e, exact_width, model_bits))
+        refined.extend(_bisect(s, e, width, model_bits))
     starts = refined
 
     # --- merge phase: exact-width pairwise merges to fixpoint --------------
     bounds = starts + [n]
-    widths = [exact_width(v[bounds[k] : bounds[k + 1]]) for k in range(len(starts))]
+    widths = [width(bounds[k], bounds[k + 1]) for k in range(len(starts))]
     for _ in range(max_merge_passes):
         merged_any = False
         k = 0
         while k + 1 < len(widths):
             a, b, c = bounds[k], bounds[k + 1], bounds[k + 2]
-            w_m = exact_width(v[a:c])
+            w_m = width(a, c)
             merged = model_bits + (c - a) * w_m
             separate = 2 * model_bits + (b - a) * widths[k] + (c - b) * widths[k + 1]
             if merged <= separate:
@@ -190,29 +208,18 @@ def var_partitions(
     return np.asarray(bounds[:-1], dtype=np.uint32)
 
 
-def _bisect(
-    v: np.ndarray,
-    lo: int,
-    hi: int,
-    exact_width: Callable[[np.ndarray], int],
-    model_bits: int,
-) -> list[int]:
+def _bisect(lo: int, hi: int, width: Callable[[int, int], int], model_bits: int) -> list[int]:
     """Recursively split ``[lo, hi)`` at the midpoint while the exact encoded
-    size (model + deltas, in bits) decreases.  Returns partition starts."""
+    size (model + deltas, in bits; ``width(a, b)`` of ``[a, b)``) decreases.
+    Returns partition starts."""
     if hi - lo < 2 * MIN_PARTITION:
         return [lo]
     mid = (lo + hi) // 2
-    whole = model_bits + (hi - lo) * exact_width(v[lo:hi])
-    halves = (
-        2 * model_bits
-        + (mid - lo) * exact_width(v[lo:mid])
-        + (hi - mid) * exact_width(v[mid:hi])
-    )
+    whole = model_bits + (hi - lo) * width(lo, hi)
+    halves = 2 * model_bits + (mid - lo) * width(lo, mid) + (hi - mid) * width(mid, hi)
     if halves >= whole:
         return [lo]
-    return _bisect(v, lo, mid, exact_width, model_bits) + _bisect(
-        v, mid, hi, exact_width, model_bits
-    )
+    return _bisect(lo, mid, width, model_bits) + _bisect(mid, hi, width, model_bits)
 
 
 def dp_optimal_partitions(

@@ -11,11 +11,29 @@ FOR's horizontal line is the θ1 = 0 case of the same model (§2).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LinearModel", "LinearRegressor"]
+__all__ = ["LinearModel", "LinearRegressor", "positions"]
+
+#: float positions 0, 1, 2, …; a fit of up to this many values takes a
+#: (read-only) slice.
+_POSITIONS = np.arange(1 << 16, dtype=np.float64)
+_POSITIONS.flags.writeable = False
+
+
+def positions(n: int) -> np.ndarray:
+    """Local positions ``0 … n−1`` as float64 (the model's ``i``)."""
+    return _POSITIONS[:n] if n <= len(_POSITIONS) else np.arange(n, dtype=np.float64)
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _denom(n: int) -> float:
+    """``Σ (i − ī)²`` over ``n`` positions, the least-squares slope's divisor."""
+    c = positions(n) - (n - 1) / 2.0
+    return float((c * c).sum())
 
 
 @dataclass(frozen=True)
@@ -26,7 +44,8 @@ class LinearModel:
     theta1: float
 
     def predict(self, idx: np.ndarray) -> np.ndarray:
-        """Vectorized floor-prediction at local positions ``idx`` (int64)."""
+        """Vectorized floor-prediction at local positions ``idx`` (int64 or
+        float64, e.g. :func:`positions`)."""
         return np.floor(self.theta0 + self.theta1 * np.asarray(idx, dtype=np.float64)).astype(np.int64)
 
 
@@ -43,12 +62,11 @@ class LinearRegressor:
             raise ValueError("cannot fit an empty partition")
         if n == 1:
             return LinearModel(float(v[0]), 0.0)
-        i = np.arange(n, dtype=np.float64)
+        i = positions(n)
         ibar = (n - 1) / 2.0
         vbar = v.sum() / n  # == v.mean(), without its dispatch overhead
         c = i - ibar
-        denom = float((c * c).sum())
-        theta1 = float((c * (v - vbar)).sum()) / denom
+        theta1 = float((c * (v - vbar)).sum()) / _denom(n)
         theta0 = vbar - theta1 * ibar
         # θ0-tweak (§3.1): move the line vertically so |δmax| == |δmin|,
         # minimizing max(|δ|) for this slope.

@@ -32,7 +32,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 from ..core.format import EncodedSequence
-from ..core.leco import _decode_partition, positions_in
+from ..core.leco import _decode_partition, decode_table, positions_in
 from .encodings import gather_positions, parse_chunk
 from .format import ChunkMeta, read_footer
 
@@ -63,21 +63,26 @@ def _mod_positions(blob: bytes, t1: int, t2: int, mod: int) -> np.ndarray:
 
     FOR/LeCo chunks pass the exact daily windows
     ``[d·mod + max(t1+1, 0), d·mod + min(t2, mod) − 1]``, clipped to the
-    chunk's value bounds, to :func:`positions_in`."""
+    chunk's value bounds, to :func:`positions_in` — unless the bounds span
+    more days than the chunk has values; then the chunk is decoded and
+    filtered like a plain one, so the work never exceeds a full decode."""
     kind, obj = parse_chunk(blob)
-    if kind in ("plain", "dict"):
-        v = np.asarray(obj)
-        return np.flatnonzero((v % mod > t1) & (v % mod < t2))
-    enc: EncodedSequence = obj
-    plo, phi = enc.value_bounds()
-    if not plo:
-        return np.empty(0, dtype=np.int64)
-    # header bounds may pass the int64 range (``bias + 2^width``)
-    lo, hi = max(min(plo), _I64.min), min(max(phi), _I64.max)
-    w_lo, w_hi = max(t1 + 1, 0), min(t2, mod) - 1
-    wins = [(max(d * mod + w_lo, lo), min(d * mod + w_hi, hi)) for d in range(lo // mod, hi // mod + 1)]
-    wins = [w for w in wins if w[0] <= w[1]]
-    return positions_in(enc, [w[0] for w in wins], [w[1] for w in wins])[0]
+    if kind == "seq":
+        enc: EncodedSequence = obj
+        plo, phi = enc.value_bounds()
+        if not plo:
+            return np.empty(0, dtype=np.int64)
+        # header bounds may pass the int64 range (``bias + 2^width``)
+        lo, hi = max(min(plo), _I64.min), min(max(phi), _I64.max)
+        if hi // mod - lo // mod + 1 <= enc.n:
+            w_lo, w_hi = max(t1 + 1, 0), min(t2, mod) - 1
+            days = range(lo // mod, hi // mod + 1)
+            wins = [(max(d * mod + w_lo, lo), min(d * mod + w_hi, hi)) for d in days]
+            wins = [w for w in wins if w[0] <= w[1]]
+            return positions_in(enc, [w[0] for w in wins], [w[1] for w in wins])[0]
+        obj = decode_table(enc)
+    v = np.asarray(obj)
+    return np.flatnonzero((v % mod > t1) & (v % mod < t2))
 
 
 def _decode_part(enc: EncodedSequence, k: int, a: int = 0, b: int | None = None) -> np.ndarray:

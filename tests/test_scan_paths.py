@@ -6,9 +6,11 @@ rows a brute-force numpy filter returns, on FOR, LeCo-fix, LeCo-var and
 LeCo-angle blobs read back through ``to_bytes``/``from_bytes``.  Inputs
 include sorted runs with repeats (slope θ1 < 1, where a closed-form model
 inversion drops rows), falling runs, int64 extremes, empty input and a
-single value.
+single value.  ``_mod_positions`` also keeps its interval count within
+the chunk's value count when a short ``mod`` spans many days.
 """
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -130,3 +132,42 @@ def test_gather_positions_matches_numpy(data, name):
     positions = np.unique(np.asarray(picks, dtype=np.int64))
     assert np.array_equal(penc.gather_positions(_chunk(enc), positions), v[positions])
 
+
+
+def _spy_positions_in(monkeypatch):
+    """Record the number of intervals each ``positions_in`` call receives."""
+    from repro.parquet_sim import scan
+
+    calls = []
+
+    def spy(enc, lo, hi):
+        calls.append((len(lo), enc.n))
+        return positions_in(enc, lo, hi)
+
+    monkeypatch.setattr(scan, "positions_in", spy)
+    return calls
+
+
+@pytest.mark.parametrize("encoding", ["leco", "for"])
+@pytest.mark.parametrize("mod", [10**5, 10**6, 86_400])
+def test_mod_positions_many_days_never_exceeds_values(monkeypatch, encoding, mod):
+    """Values spanning 2^40 cover millions of days of a short ``mod``; the
+    per-day windows would outnumber the chunk's values, so the chunk is
+    decoded and filtered instead, with the same answer."""
+    calls = _spy_positions_in(monkeypatch)
+    v = np.sort(np.random.default_rng(5).integers(0, 2**40, 2_000))
+    blob = penc.encode_chunk(v, encoding, partition_len=1_000)
+    got = _mod_positions(blob, 10, 500, mod)
+    assert np.array_equal(got, np.flatnonzero((v % mod > 10) & (v % mod < 500)))
+    assert all(k <= n for k, n in calls)
+
+
+@pytest.mark.parametrize("encoding", ["leco", "for"])
+def test_mod_positions_prunes_when_days_are_few(monkeypatch, encoding):
+    """A chunk of sorted timestamps over a few days keeps the pruning path."""
+    calls = _spy_positions_in(monkeypatch)
+    day = 86_400
+    v = np.sort(np.random.default_rng(6).integers(0, 5 * day, 20_000))
+    got = _mod_positions(penc.encode_chunk(v, encoding, partition_len=1_000), 3_600, 7_200, day)
+    assert np.array_equal(got, np.flatnonzero((v % day > 3_600) & (v % day < 7_200)))
+    assert [n for _, n in calls] == [len(v)]  # one call, on the whole chunk
