@@ -58,18 +58,13 @@ def _delta_table(v: np.ndarray, starts: np.ndarray) -> PartitionTable:
 
 
 def _decode_partition(t: PartitionTable, k: int, upto: int | None = None) -> np.ndarray:
-    """Sequentially reconstruct the first ``upto`` values of partition ``k``."""
-    n, w = t.n.item(k), t.width.item(k)
+    """Sequentially reconstruct the first ``upto`` values of partition ``k``,
+    unpacking only the ``upto − 1`` differences they need."""
+    _, dbias, v0, w, off, n = t.access_rows[k]
     upto = n if upto is None else upto
-    v0 = t.bias.item(k)
     if upto <= 1:
         return np.array([v0], dtype=np.int64)[:upto]
-    stored = (
-        unpack(t.payload_of(k), w, n - 1)[: upto - 1].astype(np.int64)
-        if w
-        else np.zeros(upto - 1, dtype=np.int64)
-    )
-    d = stored + int(t.theta1.item(k))
+    d = unpack(t.payload, w, upto - 1, off * 8).view(np.int64) + int(dbias)
     return np.concatenate(([v0], v0 + np.cumsum(d)))
 
 

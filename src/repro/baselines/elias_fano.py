@@ -57,7 +57,7 @@ class EliasFano:
         n = len(v)
         l = max(0, int(np.ceil(np.log2(m / n)))) if m > n else 0
         rebased = (v - base).astype(np.uint64)
-        lows = pack(rebased & np.uint64((1 << l) - 1), l) if l else b""
+        lows = pack(rebased & np.uint64((1 << l) - 1), l)
         highs = (rebased >> np.uint64(l)).astype(np.int64)
         nbits = n + int(highs[-1]) + 1
         bits = np.zeros(nbits, dtype=np.uint8)
@@ -72,11 +72,7 @@ class EliasFano:
         bits = np.unpackbits(enc.upper)
         pos = np.flatnonzero(bits)[: enc.n].astype(np.int64)
         highs = pos - np.arange(enc.n)
-        lows = (
-            unpack(enc.lows, enc.l, enc.n).astype(np.int64)
-            if enc.l
-            else np.zeros(enc.n, dtype=np.int64)
-        )
+        lows = unpack(enc.lows, enc.l, enc.n).astype(np.int64)
         return enc.base + (highs << enc.l) + lows
 
     def access(self, enc: EFEncoded, i: int) -> int:
@@ -98,7 +94,7 @@ class EliasFano:
                     break
                 count += 1
         high = pos - i
-        low = extract(enc.lows, enc.l, i) if enc.l else 0
+        low = extract(enc.lows, enc.l, i)
         return enc.base + (high << enc.l) + low
 
 

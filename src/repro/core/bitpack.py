@@ -45,6 +45,8 @@ def bits_needed(max_value: int) -> int:
 
 
 _POW2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
+#: bit weights, most significant first: a ``width``-bit code's are the last ``width``
+_WEIGHTS = _POW2[::-1].copy()
 
 #: values per ``pack_rows`` step; bounds its (values × 64)-byte bit matrix
 #: to 4 MiB.  A multiple of 8, so a row split at a block edge stays
@@ -144,13 +146,17 @@ def pack(values: np.ndarray, width: int) -> bytes:
     )
 
 
-def unpack(buf: bytes, width: int, n: int) -> np.ndarray:
-    """Inverse of :func:`pack` — returns ``n`` uint64 values."""
+def unpack(buf: bytes, width: int, n: int, bit: int = 0) -> np.ndarray:
+    """Inverse of :func:`pack` — returns the ``n`` uint64 values packed at
+    ``width`` bits from bit offset ``bit`` of ``buf``, touching only their
+    bytes (a partition's slice ``[a, b)`` is ``bit = payload_off·8 + a·width``)."""
     if width == 0:
         return np.zeros(n, dtype=np.uint64)
-    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), count=n * width)
-    weights = (np.uint64(1) << np.arange(width - 1, -1, -1, dtype=np.uint64))
-    return bits.reshape(n, width).astype(np.uint64) @ weights
+    first, skip = divmod(bit, 8)
+    end = skip + n * width
+    raw = np.frombuffer(buf, dtype=np.uint8, count=(end + 7) // 8, offset=first)
+    bits = np.unpackbits(raw)[skip:end]
+    return bits.reshape(n, width).astype(np.uint64) @ _WEIGHTS[64 - width :]
 
 
 def extract(buf: bytes, width: int, idx: int, offset: int = 0) -> int:

@@ -6,7 +6,7 @@ columns.  Row ``k`` of the table is partition ``k``'s model ``(θ0, θ1)``,
 integer bias, delta bit-width, length and the offset of its bit-packed
 delta array inside one shared payload buffer.  Encoders fill the columns
 with a few vectorized calls (``bitpack.pack_rows`` packs every partition of
-one width at once); decoders read scalars with ``.item(k)``.
+one width at once); decoders read a partition's scalars from ``access_rows``.
 
 Deltas are stored unsigned relative to the explicit integer bias
 (``v = floor(θ0 + θ1·i) + bias + delta``).  The paper instead stores signed
@@ -93,24 +93,20 @@ class PartitionTable:
         return len(self.width)
 
     @cached_property
-    def access_rows(self) -> list[tuple[float, float, int, int, int]]:
-        """``(θ0, θ1, bias, width, payload_off)`` per partition as Python
-        scalars, built on first use: the random-access path reads one row
-        per value instead of five numpy scalars."""
-        cols = (self.theta0, self.theta1, self.bias, self.width, self.payload_off)
+    def access_rows(self) -> list[tuple[float, float, int, int, int, int]]:
+        """``(θ0, θ1, bias, width, payload_off, n)`` per partition as Python
+        scalars, built on first use: the per-partition read paths take one
+        row instead of six numpy scalars."""
+        cols = (self.theta0, self.theta1, self.bias, self.width, self.payload_off, self.n)
         return list(zip(*(c.tolist() for c in cols)))
-
-    def payload_of(self, k: int) -> memoryview:
-        """Partition ``k``'s packed deltas, without copying."""
-        off = self.payload_off.item(k)
-        return memoryview(self.payload)[off : off + self.payload_len.item(k)]
 
     def contiguous_payload(self) -> bytes:
         """All packed deltas back to back in partition order."""
         lens = self.payload_len
         if len(self.payload) == lens.sum() and np.array_equal(self.payload_off, np.cumsum(lens) - lens):
             return self.payload
-        return b"".join(self.payload_of(k) for k in range(len(self)))
+        buf = memoryview(self.payload)
+        return b"".join(buf[a : a + m] for a, m in zip(self.payload_off.tolist(), lens.tolist()))
 
 
 def _payload_counts(scheme: str, lens: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from .format import EncodedSequence, PartitionTable
 from .partitioner import fixed_partitions, fixed_rows, search_fixed_length, var_partitions
 from .regressor import LinearRegressor, positions
 
-__all__ = ["LeCoFix", "LeCoVar", "positions_in"]
+__all__ = ["LeCoFix", "LeCoVar", "access_many", "positions_in"]
 
 _REGRESSOR = LinearRegressor()
 
@@ -114,15 +114,11 @@ def _linear_table(v: np.ndarray, starts: np.ndarray) -> PartitionTable:
 
 
 def _decode_partition(t: PartitionTable, k: int, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Values ``[start, stop)`` of partition ``k`` (LeCo or FOR layout)."""
-    n, w = t.n.item(k), t.width.item(k)
+    """Values ``[start, stop)`` of partition ``k`` (LeCo or FOR layout),
+    unpacking only those values' deltas."""
+    theta0, theta1, bias, w, off, n = t.access_rows[k]
     stop = n if stop is None else stop
-    deltas = (
-        unpack(t.payload_of(k), w, n)[start:stop].astype(np.int64)
-        if w
-        else np.zeros(stop - start, dtype=np.int64)
-    )
-    theta0, theta1, bias = t.theta0.item(k), t.theta1.item(k), t.bias.item(k)
+    deltas = unpack(t.payload, w, stop - start, off * 8 + start * w).view(np.int64)
     if theta1 == 0.0:  # horizontal line: one prediction for every position
         return deltas + (math.floor(theta0) + bias)
     return np.floor(theta0 + theta1 * np.arange(start, stop)).astype(np.int64) + bias + deltas
@@ -150,8 +146,7 @@ def positions_in(enc: EncodedSequence, lo, hi) -> tuple[np.ndarray, np.ndarray]:
         j0, j1 = bisect.bisect_left(hi, plo), bisect.bisect_right(lo, phi)
         if j0 >= j1:
             continue  # partition skipped from the header alone
-        theta0, theta1, bias, width, _ = t.access_rows[k]
-        n = t.n.item(k)
+        theta0, theta1, bias, width, _, n = t.access_rows[k]
         if theta1 <= 0:
             ranges = [[0, n, j0, j1]]
         else:
@@ -183,8 +178,39 @@ def positions_in(enc: EncodedSequence, lo, hi) -> tuple[np.ndarray, np.ndarray]:
 
 def _value_at(t: PartitionTable, k: int, i: int) -> int:
     """Value ``i`` of partition ``k``: one model inference, one bit probe."""
-    theta0, theta1, bias, width, off = t.access_rows[k]
+    theta0, theta1, bias, width, off, _ = t.access_rows[k]
     return math.floor(theta0 + theta1 * i) + bias + extract(t.payload, width, i, off)
+
+
+#: byte offsets of the 9-byte window that holds any value of width <= 64
+_WINDOW = np.arange(9)
+
+
+def access_many(enc: EncodedSequence, positions) -> np.ndarray:
+    """Values at global ``positions`` (any order, repeats allowed) of a LeCo
+    or FOR sequence, in one vectorized pass of §3.3's Decoder: each value
+    is one model inference plus one delta read from the 9-byte big-endian
+    window at bit ``payload_off·8 + i·width``, with the prediction computed
+    exactly as :func:`_decode_partition` computes it."""
+    t = enc.partitions
+    p = np.asarray(positions, dtype=np.int64)
+    k = np.searchsorted(enc.starts, p, side="right") - 1
+    i = p - enc.starts[k]
+    w = t.width[k].astype(np.int64)
+    bit = t.payload_off[k] * 8 + i * w
+    buf = np.frombuffer(t.payload, dtype=np.uint8)
+    # every value ends inside the buffer, and window bytes past its end only
+    # feed bits below the value: clip them to the last byte (a zero byte
+    # when nothing is packed)
+    buf = buf if len(buf) else np.zeros(1, dtype=np.uint8)
+    win = buf[np.minimum((bit // 8)[:, None] + _WINDOW, len(buf) - 1)]
+    skip = (bit % 8).astype(np.uint64)
+    # the 64 bits from ``bit`` on; a value is their top ``width`` bits
+    top = (win[:, :8].copy().view(">u8")[:, 0].astype(np.uint64) << skip) | (
+        win[:, 8].astype(np.uint64) >> (np.uint64(8) - skip)
+    )
+    deltas = np.where(w > 0, top >> (64 - w).astype(np.uint64), np.uint64(0)).view(np.int64)
+    return np.floor(t.theta0[k] + t.theta1[k] * i).astype(np.int64) + t.bias[k] + deltas
 
 
 def decode_table(enc: EncodedSequence) -> np.ndarray:
@@ -213,8 +239,7 @@ class _LeCoBase:
         out = []
         for k in range(ks, ke + 1):
             a = offs if k == ks else 0
-            b = offe + 1 if k == ke else t.n.item(k)
-            out.append(_decode_partition(t, k, a, b))
+            out.append(_decode_partition(t, k, a, offe + 1 if k == ke else None))
         return np.concatenate(out)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..baselines.for_codec import FORCodec
 from ..core.format import EncodedSequence
-from ..core.leco import LeCoFix
+from ..core.leco import LeCoFix, access_many
 from ..core.bitpack import bits_needed, pack, unpack
 
 TAG_PLAIN, TAG_DICT, TAG_SEQ = 0, 1, 2
@@ -59,7 +59,7 @@ def parse_chunk(blob: bytes):
         n, ndv, width = struct.unpack_from("<qiB", blob, 1)
         off = 1 + 13
         uniq = np.frombuffer(blob, dtype=np.int64, count=ndv, offset=off)
-        codes = unpack(blob[off + 8 * ndv :], width, n) if width else np.zeros(n, dtype=np.uint64)
+        codes = unpack(blob, width, n, (off + 8 * ndv) * 8)
         return "dict", uniq[codes.astype(np.int64)]
     return "seq", EncodedSequence.from_bytes(blob[1:])
 
@@ -74,29 +74,13 @@ def decode_chunk(blob: bytes) -> np.ndarray:
 
 
 def gather_positions(blob: bytes, positions: np.ndarray) -> np.ndarray:
-    """Decode only the values at ``positions`` (sorted, chunk-local).
+    """Decode only the values at ``positions`` (chunk-local).
 
-    For FOR/LeCo chunks this decodes only the *touched partitions* — the
-    page-level selective decode a real columnar reader performs; plain/dict
+    FOR/LeCo chunks read each value with one model inference and one delta
+    fetch (``access_many``, LeCo/FOR's §4.3.2 access path); plain/dict
     chunks must materialize everything first (the Default cost the paper
     measures)."""
     kind, obj = parse_chunk(blob)
-    if kind in ("plain", "dict"):
-        return np.asarray(obj)[positions]
-    from ..core.leco import _decode_partition, _value_at
-
-    enc: EncodedSequence = obj
-    t = enc.partitions
-    out = np.empty(len(positions), dtype=np.int64)
-    starts = np.append(enc.starts, enc.n).astype(np.int64)
-    part_of = np.searchsorted(starts, positions, side="right") - 1
-    for k in np.unique(part_of).tolist():
-        sel = part_of == k
-        local = positions[sel] - starts[k]
-        if len(local) * 64 < t.n.item(k):
-            # sparsely touched partition: O(1) random accesses beat a full
-            # partition decode (this is LeCo/FOR's §4.3.2 access path).
-            out[sel] = [_value_at(t, k, i) for i in local.tolist()]
-        else:
-            out[sel] = _decode_partition(t, k)[local]
-    return out
+    if kind == "seq":
+        return access_many(obj, positions)
+    return np.asarray(obj)[positions]

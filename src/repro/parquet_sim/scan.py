@@ -49,13 +49,16 @@ _STATS_SCHEMA = StructType(
 )
 
 
-def _read(path: str, meta_row, io_gbps: float) -> tuple[bytes, int, float, float]:
-    with open(os.path.join(path, meta_row.file), "rb") as f:
+def _read(path: str, meta: ChunkMeta, io_gbps: float, fn):
+    """``fn(blob)`` on one chunk, and the chunk's cost ``[bytes read, io_s,
+    decompress_s, scan_s]``: ``io_s`` charges ``io_gbps``, the rest is measured."""
+    with open(os.path.join(path, meta.file), "rb") as f:
         raw = f.read()
-    io_s = len(raw) / (io_gbps * 1e9)
     t0 = time.perf_counter()
-    blob = zlib.decompress(raw) if meta_row.compressed else raw
-    return blob, len(raw), io_s, time.perf_counter() - t0
+    blob = zlib.decompress(raw) if meta.compressed else raw
+    t1 = time.perf_counter()
+    out = fn(blob)
+    return out, np.array([len(raw), len(raw) / (io_gbps * 1e9), t1 - t0, time.perf_counter() - t1])
 
 
 def _mod_positions(blob: bytes, t1: int, t2: int, mod: int) -> np.ndarray:
@@ -97,6 +100,33 @@ def _meta_df(spark: SparkSession, metas: list[ChunkMeta], col: str) -> DataFrame
     ).repartition(16, "rg_id")
 
 
+def _run(spark: SparkSession, metas: list[ChunkMeta], column: str, read_rg) -> dict[str, float]:
+    """Fan the row groups of ``column``'s chunks out over Spark tasks.
+    ``read_rg(rg_id)`` returns a row group's output values and cost (see
+    :func:`_read`).  The checksum is the values' sum mod 2^62; it and the
+    counts are summed as Python ints, so they stay exact at any size."""
+
+    def task(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        cost = np.zeros(4)
+        rows_out = checksum = 0
+        for b in batches:
+            for rg in b.rg_id.tolist():
+                vals, c = read_rg(rg)
+                cost += c
+                rows_out += len(vals)
+                checksum += int(vals.sum())  # wraps mod 2^64, so exact mod 2^62
+        yield pd.DataFrame(
+            [[rows_out, int(cost[0]), *cost[1:].tolist(), checksum % (1 << 62)]],
+            columns=[f.name for f in _STATS_SCHEMA.fields],
+        )
+
+    agg = _meta_df(spark, metas, column).mapInPandas(task, schema=_STATS_SCHEMA).toPandas()
+    out = {c: sum(agg[c].tolist()) for c in agg.columns}
+    out["checksum"] %= 1 << 62
+    out["total_s"] = out["io_s"] + out["decompress_s"] + out["scan_s"]
+    return out
+
+
 def filter_scan_mod(
     spark: SparkSession,
     path: str,
@@ -110,47 +140,16 @@ def filter_scan_mod(
 ) -> dict[str, float]:
     """Fig 14 query; returns rows_out, io/decompress/scan seconds, bytes."""
     metas = read_footer(path)
-    by_rg: dict[int, dict[str, ChunkMeta]] = {}
-    for m in metas:
-        by_rg.setdefault(m.rg_id, {})[m.column] = m
+    by_rg = {(m.rg_id, m.column): m for m in metas}
 
-    def task(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        stats = np.zeros(4)
-        rows_out = 0
-        checksum = 0
-        for b in batches:
-            for _, r in b.iterrows():
-                ts_meta = by_rg[int(r.rg_id)][ts_col]
-                blob, nb, io_s, dz_s = _read(path, ts_meta, io_gbps)
-                t0 = time.perf_counter()
-                pos = _mod_positions(blob, t1, t2, mod)
-                scan_s = time.perf_counter() - t0
-                stats += (nb, io_s, dz_s, scan_s)
-                if len(pos) == 0:
-                    continue
-                id_meta = by_rg[int(r.rg_id)][id_col]
-                blob, nb, io_s, dz_s = _read(path, id_meta, io_gbps)
-                t0 = time.perf_counter()
-                ids = gather_positions(blob, pos)
-                scan_s = time.perf_counter() - t0
-                stats += (nb, io_s, dz_s, scan_s)
-                rows_out += len(ids)
-                checksum += int(ids.sum())
-        yield pd.DataFrame(
-            [[rows_out, int(stats[0]), stats[1], stats[2], stats[3], checksum % (1 << 62)]],
-            columns=[f.name for f in _STATS_SCHEMA.fields],
-        )
+    def read_rg(rg: int):
+        pos, cost = _read(path, by_rg[rg, ts_col], io_gbps, lambda blob: _mod_positions(blob, t1, t2, mod))
+        if not len(pos):
+            return pos, cost
+        ids, id_cost = _read(path, by_rg[rg, id_col], io_gbps, lambda blob: gather_positions(blob, pos))
+        return ids, cost + id_cost
 
-    agg = _meta_df(spark, metas, ts_col).mapInPandas(task, schema=_STATS_SCHEMA).toPandas()
-    return {
-        "rows_out": int(agg.rows_out.sum()),
-        "bytes_read": int(agg.bytes_read.sum()),
-        "io_s": float(agg.io_s.sum()),
-        "decompress_s": float(agg.decompress_s.sum()),
-        "scan_s": float(agg.scan_s.sum()),
-        "total_s": float(agg.io_s.sum() + agg.decompress_s.sum() + agg.scan_s.sum()),
-        "checksum": int(agg.checksum.sum()),
-    }
+    return _run(spark, metas, ts_col, read_rg)
 
 
 def bitmap_select(
@@ -164,43 +163,19 @@ def bitmap_select(
     """Fig 17: decode ``column`` at global ``positions`` (a filter bitmap).
 
     Row groups containing no set bit are skipped entirely (zone/bitmap
-    skipping); FOR/LeCo chunks decode only touched partitions."""
-    metas = [m for m in read_footer(path) if m.column == column]
-    metas.sort(key=lambda m: m.rg_id)
+    skipping); FOR/LeCo chunks read only the selected values."""
+    metas = sorted((m for m in read_footer(path) if m.column == column), key=lambda m: m.rg_id)
     bounds = np.cumsum([0] + [m.n for m in metas])
     positions = np.sort(np.asarray(positions, dtype=np.int64))
+    cut = np.searchsorted(positions, bounds)
     per_rg = {
-        m.rg_id: positions[(positions >= bounds[i]) & (positions < bounds[i + 1])] - bounds[i]
+        m.rg_id: positions[cut[i] : cut[i + 1]] - bounds[i]
         for i, m in enumerate(metas)
+        if cut[i] < cut[i + 1]
     }
-    per_rg = {k: v for k, v in per_rg.items() if len(v)}
-    keep = [m for m in metas if m.rg_id in per_rg]
+    keep = {m.rg_id: m for m in metas if m.rg_id in per_rg}
 
-    def task(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        stats = np.zeros(4)
-        rows_out = checksum = 0
-        for b in batches:
-            for _, r in b.iterrows():
-                m = next(x for x in keep if x.rg_id == int(r.rg_id))
-                blob, nb, io_s, dz_s = _read(path, m, io_gbps)
-                t0 = time.perf_counter()
-                vals = gather_positions(blob, per_rg[m.rg_id])
-                scan_s = time.perf_counter() - t0
-                stats += (nb, io_s, dz_s, scan_s)
-                rows_out += len(vals)
-                checksum += int(vals.sum())
-        yield pd.DataFrame(
-            [[rows_out, int(stats[0]), stats[1], stats[2], stats[3], checksum % (1 << 62)]],
-            columns=[f.name for f in _STATS_SCHEMA.fields],
-        )
+    def read_rg(rg: int):
+        return _read(path, keep[rg], io_gbps, lambda blob: gather_positions(blob, per_rg[rg]))
 
-    agg = _meta_df(spark, keep, column).mapInPandas(task, schema=_STATS_SCHEMA).toPandas()
-    return {
-        "rows_out": int(agg.rows_out.sum()),
-        "bytes_read": int(agg.bytes_read.sum()),
-        "io_s": float(agg.io_s.sum()),
-        "decompress_s": float(agg.decompress_s.sum()),
-        "scan_s": float(agg.scan_s.sum()),
-        "total_s": float(agg.io_s.sum() + agg.decompress_s.sum() + agg.scan_s.sum()),
-        "checksum": int(agg.checksum.sum()),
-    }
+    return _run(spark, list(keep.values()), column, read_rg)

@@ -80,6 +80,27 @@ def test_pack_unpack_hypothesis(values):
     assert np.array_equal(unpack(pack(v, width), width, len(v)), v)
 
 
+@given(data=st.data(), width=st.integers(0, 64))
+@settings(max_examples=200, deadline=None)
+def test_unpack_range_matches_full_unpack(data, width):
+    """``unpack`` from a bit offset reads exactly the matching slice of a
+    full unpack, for an array packed at any byte offset inside a larger
+    buffer, including ranges that end on the buffer's last byte."""
+    top = (1 << width) - 1
+    n = data.draw(st.integers(0, 80))
+    values = data.draw(st.lists(st.one_of(st.integers(0, top), st.just(top)), min_size=n, max_size=n))
+    v = np.array(values, dtype=np.uint64)
+    head = data.draw(st.binary(max_size=9))
+    tail = data.draw(st.sampled_from([b"", b"\xff", bytes(9)]))
+    buf = head + pack(v, width) + tail
+    a = data.draw(st.integers(0, n))
+    b = data.draw(st.one_of(st.just(n), st.integers(a, n)))
+    got = unpack(buf, width, b - a, len(head) * 8 + a * width)
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, unpack(buf[len(head) :], width, n)[a:b])
+    assert np.array_equal(got, v[a:b])
+
+
 @pytest.mark.parametrize("width", [1, 7, 64, 65, 100, 200])
 def test_bigint_roundtrip(width):
     import random

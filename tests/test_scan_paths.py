@@ -1,13 +1,14 @@
 """Differential tests of the scan paths against numpy.
 
 ``core.leco.positions_in`` (the one model-inversion kernel), the Parquet
-scan's ``_mod_positions`` and ``gather_positions`` must return exactly the
-rows a brute-force numpy filter returns, on FOR, LeCo-fix, LeCo-var and
-LeCo-angle blobs read back through ``to_bytes``/``from_bytes``.  Inputs
-include sorted runs with repeats (slope θ1 < 1, where a closed-form model
-inversion drops rows), falling runs, int64 extremes, empty input and a
-single value.  ``_mod_positions`` also keeps its interval count within
-the chunk's value count when a short ``mod`` spans many days.
+scan's ``_mod_positions``, ``gather_positions`` and ``access_many`` must
+return exactly the rows a brute-force numpy filter returns, on FOR,
+LeCo-fix, LeCo-var and LeCo-angle blobs read back through
+``to_bytes``/``from_bytes``.  Inputs include sorted runs with repeats
+(slope θ1 < 1, where a closed-form model inversion drops rows), falling
+runs, int64 extremes, constant columns, empty input and a single value.
+``_mod_positions`` also keeps its interval count within the chunk's value
+count when a short ``mod`` spans many days.
 """
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.for_codec import FORCodec
 from repro.core.format import EncodedSequence
-from repro.core.leco import LeCoFix, LeCoVar, positions_in
+from repro.core.leco import LeCoFix, LeCoVar, access_many, positions_in
 from repro.core.pla import LeCoAngle
 from repro.parquet_sim import encodings as penc
 from repro.parquet_sim.scan import _mod_positions
@@ -127,10 +128,17 @@ def test_mod_positions_int64_extremes(values, name, t1, t2):
 @given(data=st.data(), name=st.sampled_from(list(CODECS)))
 @settings(max_examples=200, deadline=None)
 def test_gather_positions_matches_numpy(data, name):
-    v, enc = _roundtrip(name, data.draw(columns()))
+    # a constant column packs every delta at width 0: an empty payload
+    const = st.builds(lambda x, n: [x] * n, st.sampled_from(EXTREMES), st.integers(1, 300))
+    v, enc = _roundtrip(name, data.draw(st.one_of(columns(), const)))
     picks = data.draw(st.lists(st.integers(0, max(len(v) - 1, 0)), max_size=300)) if len(v) else []
     positions = np.unique(np.asarray(picks, dtype=np.int64))
     assert np.array_equal(penc.gather_positions(_chunk(enc), positions), v[positions])
+    # access_many takes positions unsorted, repeated or none, on the
+    # encoder's own table as well as on one read back from bytes
+    raw = np.asarray(picks, dtype=np.int64)
+    for e in (enc, CODECS[name].encode(v)):
+        assert np.array_equal(access_many(e, raw), v[raw])
 
 
 
