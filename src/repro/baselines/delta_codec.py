@@ -1,7 +1,7 @@
 """Delta Encoding baselines (§2, §3.2.2): store first differences per partition.
 
-Per partition the header stores the first value (as ``θ0``) and the bias of
-the stored differences (as ``θ1`` — legal since reconstruction is
+Per partition the header stores the first value (in the integer bias) and
+the bias of the stored differences (as ``θ1`` — legal since reconstruction is
 ``v_i = v_0 + i·bias + Σ stored_k``, a linear model plus a running sum).
 Random access therefore requires decoding the partition *prefix* — the
 O(partition) cost the paper shows is an order of magnitude slower than
@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.bitpack import bits_needed, bits_needed_vec, pack, unpack
+from ..core.bitpack import bits_needed, bits_needed_vec, unpack
 from ..core.format import EncodedSequence, PartitionTable
-from ..core.partitioner import fixed_partitions, search_fixed_length, var_partitions
+from ..core.leco import build_table, fixed_widths, search_length
+from ..core.partitioner import fixed_partitions, fixed_rows, var_partitions, var_rows
 
 #: model cost in bits for a Delta partition: first value (64) + bias (64).
 DELTA_MODEL_BITS = 128
@@ -35,26 +36,21 @@ def _delta_width(sub: np.ndarray) -> int:
     return bits_needed(int(d.max()) - min(0, int(d.min())))
 
 
-def _delta_table(v: np.ndarray, starts: np.ndarray) -> PartitionTable:
-    """Encode each partition as its first value (in the exact int64 bias —
-    a float θ0 would round it beyond 2^53), the per-step difference bias
-    (in θ1) and the packed differences."""
-    bounds = np.append(starts, len(v)).astype(np.int64).tolist()
-    theta1, bias, width, payloads = [], [], [], []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        d = np.diff(v[a:b])
-        dbias = min(0, int(d.min())) if len(d) else 0
-        if abs(dbias) >= 2**53:
-            raise OverflowError("difference bias exceeds float64 precision")
-        w = bits_needed(int(d.max()) - dbias) if len(d) else 0
-        theta1.append(float(dbias))
-        bias.append(int(v[a]))
-        width.append(w)
-        payloads.append(pack(d - dbias, w))
-    zeros = np.zeros(len(bias))
-    return PartitionTable.build(
-        zeros, theta1, bias, width, np.diff(bounds), [len(p) for p in payloads], b"".join(payloads)
-    )
+def _delta_fit(rows: np.ndarray):
+    """Delta's fit over equal-length partitions stacked as rows, at
+    :func:`_delta_width`'s width: the first value in the exact int64 bias
+    (a float θ0 would round it beyond 2^53), the per-step difference bias
+    in θ1, and the first differences less that bias stored.  A row whose
+    difference bias is ≤ −2^53, which θ1 cannot hold exactly, stores its
+    wrapping differences at width 64 with bias 0 instead; the decoder's
+    prefix sum wraps back to the exact values."""
+    d = np.diff(rows, axis=1)
+    spread = d if d.shape[1] else np.zeros((len(rows), 1), dtype=np.int64)
+    dbias = np.minimum(0, spread.min(axis=1))
+    width = bits_needed_vec(spread.max(axis=1) - dbias)
+    wide = dbias <= -(2**53)
+    dbias[wide], width[wide] = 0, 64
+    return np.zeros(len(rows)), dbias.astype(np.float64), rows[:, 0], width, d - dbias[:, None]
 
 
 def _decode_partition(t: PartitionTable, k: int, upto: int | None = None) -> np.ndarray:
@@ -90,25 +86,11 @@ class DeltaFix(_DeltaBase):
     def __init__(self, partition_len: int | None = None):
         self.partition_len = partition_len
 
-    @staticmethod
-    def _cost(sample: np.ndarray, L: int) -> int:
-        v = np.asarray(sample, dtype=np.int64)
-        m = len(v) // L
-        size = 0
-        if m:
-            d = np.diff(v[: m * L].reshape(m, L), axis=1)
-            ws = bits_needed_vec(d.max(axis=1) - np.minimum(0, d.min(axis=1)))
-            size += int(25 * m + (((L - 1) * ws + 7) // 8).sum())
-        if len(v) % L:
-            tail = v[m * L :]
-            size += 25 + ((len(tail) - 1) * _delta_width(tail) + 7) // 8
-        return size
-
     def encode(self, values: np.ndarray, *, dtype_bits: int = 64) -> EncodedSequence:
         v = np.asarray(values, dtype=np.int64)
-        L = self.partition_len or search_fixed_length(v, self._cost)
-        starts = fixed_partitions(len(v), L)
-        return EncodedSequence(self.name, len(v), dtype_bits, L, starts, _delta_table(v, starts))
+        L = self.partition_len or search_length(self.name, v, lambda s, L: fixed_widths(s, L, _delta_fit))
+        table = build_table(fixed_rows(v, L), _delta_fit)
+        return EncodedSequence(self.name, len(v), dtype_bits, L, fixed_partitions(len(v), L), table)
 
 
 class DeltaVar(_DeltaBase):
@@ -124,4 +106,5 @@ class DeltaVar(_DeltaBase):
         starts = var_partitions(
             v, tau=self.tau, model_bits=DELTA_MODEL_BITS, exact_width=_delta_width
         )
-        return EncodedSequence(self.name, len(v), dtype_bits, None, starts, _delta_table(v, starts))
+        table = build_table(var_rows(v, starts), _delta_fit)
+        return EncodedSequence(self.name, len(v), dtype_bits, None, starts, table)

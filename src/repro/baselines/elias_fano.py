@@ -52,6 +52,9 @@ class EliasFano:
         v = np.asarray(values, dtype=np.int64)
         if len(v) > 1 and (np.diff(v) < 0).any():
             raise ValueError("Elias-Fano requires a sorted (non-decreasing) sequence")
+        if not len(v):
+            upper, rank_dir = np.zeros(0, dtype=np.uint8), np.zeros(1, dtype=np.uint32)
+            return EFEncoded(0, dtype_bits, 0, 0, b"", upper, rank_dir)
         base = int(v[0])
         m = int(v[-1]) - base  # range, the paper's m
         n = len(v)
@@ -63,7 +66,7 @@ class EliasFano:
         bits = np.zeros(nbits, dtype=np.uint8)
         bits[np.arange(n) + highs] = 1
         upper = np.packbits(bits)
-        per_byte = _popcount_u8(upper)
+        per_byte = _POP8[upper]
         chunks = np.add.reduceat(per_byte, np.arange(0, len(per_byte), _DIR_STRIDE))
         rank_dir = np.concatenate(([0], np.cumsum(chunks))).astype(np.uint32)
         return EFEncoded(n, dtype_bits, base, l, lows, upper, rank_dir)
@@ -99,7 +102,3 @@ class EliasFano:
 
 
 _POP8 = np.array([bin(x).count("1") for x in range(256)], dtype=np.uint8)
-
-
-def _popcount_u8(a: np.ndarray) -> np.ndarray:
-    return _POP8[a]

@@ -11,23 +11,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.bitpack import bits_needed_vec, packed_size
+from ..core.bitpack import bits_needed_vec
 from ..core.format import EncodedSequence
-from ..core.leco import _fixed_table, _value_at, decode_table
-from ..core.partitioner import fixed_partitions, fixed_rows, search_fixed_length
-
-
-def _frame_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame (min, width) over frames stacked as rows."""
-    rmin = rows.min(axis=1)
-    return rmin, bits_needed_vec(rows.max(axis=1) - rmin)
+from ..core.leco import _value_at, build_table, decode_table, fixed_widths, search_length
+from ..core.partitioner import fixed_partitions, fixed_rows
 
 
 def _frame_fit(rows: np.ndarray):
-    """FOR's model per frame: the horizontal line θ0 = θ1 = 0, frame min in bias."""
-    rmin, width = _frame_stats(rows)
+    """FOR's fit per frame: the horizontal line θ0 = θ1 = 0, frame min in
+    bias, offsets from it stored."""
+    rmin = rows.min(axis=1)
     zeros = np.zeros(len(rows))
-    return zeros, zeros, rmin, width, rows
+    return zeros, zeros, rmin, bits_needed_vec(rows.max(axis=1) - rmin), rows - rmin[:, None]
 
 
 class FORCodec:
@@ -39,17 +34,10 @@ class FORCodec:
     def __init__(self, partition_len: int | None = None):
         self.partition_len = partition_len
 
-    def _cost(self, sample: np.ndarray, L: int) -> int:
-        size = 0
-        for rows in fixed_rows(np.asarray(sample, dtype=np.int64), L):
-            _, ws = _frame_stats(rows)
-            size += 25 * len(ws) + int(packed_size(rows.shape[1], ws).sum())
-        return size
-
     def encode(self, values: np.ndarray, *, dtype_bits: int = 64) -> EncodedSequence:
         v = np.asarray(values, dtype=np.int64)
-        L = self.partition_len or search_fixed_length(v, self._cost)
-        table = _fixed_table(v, L, _frame_fit)
+        L = self.partition_len or search_length(self.name, v, lambda s, L: fixed_widths(s, L, _frame_fit))
+        table = build_table(fixed_rows(v, L), _frame_fit)
         return EncodedSequence(self.name, len(v), dtype_bits, L, fixed_partitions(len(v), L), table)
 
     def decode(self, enc: EncodedSequence) -> np.ndarray:

@@ -114,6 +114,16 @@ def _payload_counts(scheme: str, lens: np.ndarray) -> np.ndarray:
     return lens - 1 if scheme.startswith("Delta") else lens
 
 
+def fixed_size(scheme: str, n: int, L: int, widths: np.ndarray) -> int:
+    """The size model of ``n`` values of ``scheme`` in fixed-length-``L``
+    partitions with the given delta ``widths`` (int64): their headers and
+    packed deltas.  The serialized size adds the global header, the 4-byte
+    ``fixed_len`` and each partition's 4-byte ``payload_len``."""
+    lens = np.full(len(widths), L)
+    lens[-1:] = n - L * (len(widths) - 1)  # the tail
+    return PARTITION_HEADER_BYTES * len(lens) + int(packed_size(_payload_counts(scheme, lens), widths).sum())
+
+
 @dataclass
 class EncodedSequence:
     """A compressed column chunk: global metadata + partition table."""
@@ -228,7 +238,7 @@ class EncodedSequence:
             if off + size > end:
                 raise ValueError("truncated partition header")
             hdr_at.append(off)
-            off += size + _U32.unpack_from(blob, off + 25)[0]
+            off += size + _U32.unpack_from(blob, off + PARTITION_HEADER_BYTES)[0]
         if off != end:
             raise ValueError("truncated payload" if off > end else f"{end - off} trailing bytes")
         at = np.asarray(hdr_at, dtype=np.int64)

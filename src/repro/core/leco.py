@@ -9,7 +9,9 @@ a bit-packed unsigned delta array, giving O(1) random access:
     v = floor(θ0 + θ1·i') + bias + delta[i']
 
 FOR is the θ0 = θ1 = 0 case of the same layout, so FOR shares this module's
-decode and access kernels.
+decode and access kernels.  FOR, LeCo and Delta differ only in their
+per-partition fit; every one of them builds its table with
+:func:`build_table`.
 """
 from __future__ import annotations
 
@@ -19,8 +21,8 @@ import math
 import numpy as np
 
 from .bitpack import bits_needed_vec, extract, pack, pack_rows, packed_size, unpack
-from .format import EncodedSequence, PartitionTable
-from .partitioner import fixed_partitions, fixed_rows, search_fixed_length, var_partitions
+from .format import EncodedSequence, PartitionTable, fixed_size
+from .partitioner import fixed_partitions, fixed_rows, search_fixed_length, var_partitions, var_rows
 from .regressor import LinearRegressor, positions
 
 __all__ = ["LeCoFix", "LeCoVar", "access_many", "positions_in"]
@@ -40,9 +42,9 @@ def _fit_rows(rows: np.ndarray):
     through the row minimum (a special case of the framework — §2), so LeCo
     is never worse than FOR on the same partition.  A row whose values or
     line ends leave ±2^62 always takes the horizontal line, which is exact
-    over the whole int64 range.  Returns ``(θ0, θ1, bias, width, deltas)``
-    with ``deltas = v − floor(θ0 + θ1·i)`` (int64, wrapping); the stored
-    values are ``deltas − bias``.
+    over the whole int64 range.  Returns ``(θ0, θ1, bias, width, stored)``
+    (the fit contract of :func:`build_table`) with
+    ``stored = v − floor(θ0 + θ1·i) − bias`` (int64, wrapping).
     """
     m, L = rows.shape
     i = np.arange(L, dtype=np.float64)
@@ -67,20 +69,23 @@ def _fit_rows(rows: np.ndarray):
     c0[c0 >= 2.0**63] = 0.0  # float(rmin) rounded out of int64
     c0_int = c0.astype(np.int64)
     deltas[use_const] = rows[use_const] - c0_int[use_const, None]
+    bias = np.where(use_const, rmin - c0_int, dmin)
     return (
         np.where(use_const, c0, theta0),
         np.where(use_const, 0.0, theta1),
-        np.where(use_const, rmin - c0_int, dmin),
+        bias,
         np.where(use_const, w_const, w_lin),
-        deltas,
+        deltas - bias[:, None],
     )
 
 
 def _fit_one(values: np.ndarray) -> tuple[float, float, int, int, np.ndarray]:
     """One partition through the Regressor (least squares + θ0-tweak), with
-    :func:`_fit_rows`'s choice of line and return values in scalar
-    arithmetic (the variable-length Partitioner calls this thousands of
-    times on short slices)."""
+    :func:`_fit_rows`'s choice of line in scalar arithmetic (the
+    variable-length Partitioner calls this thousands of times on short
+    slices, for the width only).  Returns ``(θ0, θ1, bias, width, deltas)``
+    with ``deltas = v − floor(θ0 + θ1·i)``; the stored values are
+    ``deltas − bias``."""
     v = np.asarray(values, dtype=np.int64)
     lo, hi = int(v.min()), int(v.max())
     w_const = (hi - lo).bit_length()
@@ -102,15 +107,49 @@ def _linear_width(values: np.ndarray) -> int:
     return _fit_one(values)[3]
 
 
-def _linear_table(v: np.ndarray, starts: np.ndarray) -> PartitionTable:
-    """Encode variable-length partitions one by one into a table."""
-    bounds = np.append(starts, len(v)).astype(np.int64).tolist()
-    fits = [_fit_one(v[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
-    payloads = [pack(deltas - bias, w) for _, _, bias, w, deltas in fits]
-    theta0, theta1, bias, width = ([f[j] for f in fits] for j in range(4))
-    return PartitionTable.build(
-        theta0, theta1, bias, width, np.diff(bounds), [len(p) for p in payloads], b"".join(payloads)
+def _fit_linear(rows: np.ndarray, L: int | None = None):
+    """LeCo's fit: full length-``L`` rows take the vectorized
+    :func:`_fit_rows`; a single partition (the short tail of a fixed-length
+    layout, or a variable-length partition with ``L=None``) takes the
+    Regressor of :func:`_fit_one`, whose θ0-tweak the stored model keeps."""
+    if rows.shape[1] == L:
+        return _fit_rows(rows)
+    theta0, theta1, bias, width, deltas = _fit_one(rows[0])
+    return [theta0], [theta1], [bias], [width], (deltas - bias)[None]
+
+
+def fixed_widths(values: np.ndarray, L: int, fit) -> np.ndarray:
+    """Per-partition widths ``fit`` gives fixed-length-``L`` partitions of ``values``."""
+    return np.concatenate([fit(rows)[3] for rows in fixed_rows(np.asarray(values, dtype=np.int64), L)])
+
+
+def fixed_widths_linear(values: np.ndarray, L: int) -> np.ndarray:
+    """Per-partition delta widths for fixed-length-L LeCo over ``values``."""
+    return fixed_widths(values, L, lambda rows: _fit_linear(rows, L))
+
+
+def search_length(scheme: str, values: np.ndarray, widths) -> int:
+    """Searched fixed partition length: each candidate ``L`` is priced by the
+    size model ``format.fixed_size`` at the widths ``widths(sample, L)``."""
+    return search_fixed_length(values, lambda s, L: fixed_size(scheme, len(s), L, widths(s, L)))
+
+
+def build_table(blocks: list[np.ndarray], fit) -> PartitionTable:
+    """The one Model+Delta table builder.  ``blocks`` stack equal-length
+    partitions as rows (``partitioner.fixed_rows`` or ``var_rows``), and
+    ``fit(rows)`` gives each row's ``(θ0, θ1, bias, width, stored)``, where
+    ``stored`` is what gets packed unsigned at ``width`` bits: ``n`` deltas,
+    or Delta's ``n − 1`` differences.  A block of several rows is packed by
+    ``pack_rows``, a single row by one ``pack`` call, cheaper for one row."""
+    fits = [fit(rows) for rows in blocks]
+    theta0, theta1, bias, width = (
+        np.concatenate([f[j] for f in fits]) if fits else np.empty(0, dtype=np.int64) for j in range(4)
     )
+    m = [len(rows) for rows in blocks]
+    n = np.repeat([rows.shape[1] for rows in blocks], m)
+    n_stored = np.repeat([f[4].shape[1] for f in fits], m)
+    payload = b"".join(pack(s[0], int(w[0])) if len(s) == 1 else pack_rows(s, w) for *_, w, s in fits)
+    return PartitionTable.build(theta0, theta1, bias, width, n, packed_size(n_stored, width), payload)
 
 
 def _decode_partition(t: PartitionTable, k: int, start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -243,35 +282,6 @@ class _LeCoBase:
         return np.concatenate(out)
 
 
-def _fit_fixed(rows: np.ndarray, L: int):
-    """Full length-``L`` rows take the vectorized fit, the short tail the
-    Regressor (whose θ0-tweak the stored tail model keeps)."""
-    if rows.shape[1] == L:
-        return _fit_rows(rows)
-    theta0, theta1, bias, width, deltas = _fit_one(rows[0])
-    return np.array([theta0]), np.array([theta1]), np.array([bias]), np.array([width]), deltas[None]
-
-
-def _fixed_table(v: np.ndarray, L: int, fit) -> PartitionTable:
-    """Encode fixed-length-``L`` partitions block by block (see
-    ``partitioner.fixed_rows``): ``fit(rows)`` gives each row's
-    ``(θ0, θ1, bias, width, deltas)`` as :func:`_fit_rows` does, and
-    ``pack_rows`` packs a block's ``deltas − bias`` with a few calls per
-    distinct width."""
-    blocks = fixed_rows(v, L)
-    fits = [fit(rows) for rows in blocks]
-    cols = [[f[j] for f in fits] for j in range(4)] + [[np.full(*rows.shape) for rows in blocks]]
-    theta0, theta1, bias, width, n = (np.concatenate(c) if c else np.empty(0) for c in cols)
-    payload = b"".join(pack_rows(deltas - bias[:, None], w) for _, _, bias, w, deltas in fits)
-    return PartitionTable.build(theta0, theta1, bias, width, n, packed_size(n, width), payload)
-
-
-def fixed_widths_linear(values: np.ndarray, L: int) -> np.ndarray:
-    """Per-partition delta widths for fixed-length-L LeCo over ``values``."""
-    v = np.asarray(values, dtype=np.int64)
-    return np.concatenate([_fit_fixed(rows, L)[3] for rows in fixed_rows(v, L)])
-
-
 class LeCoFix(_LeCoBase):
     """LeCo with fixed-length partitions (§3.2.1)."""
 
@@ -280,18 +290,10 @@ class LeCoFix(_LeCoBase):
     def __init__(self, partition_len: int | None = None):
         self.partition_len = partition_len
 
-    @staticmethod
-    def _cost(sample: np.ndarray, L: int) -> int:
-        ws = fixed_widths_linear(sample, L)
-        lens = np.full(len(ws), L)
-        if len(sample) % L:
-            lens[-1] = len(sample) % L
-        return int((25 * len(ws)) + packed_size(lens, ws).sum())
-
     def encode(self, values: np.ndarray, *, dtype_bits: int = 64) -> EncodedSequence:
         v = np.asarray(values, dtype=np.int64)
-        L = self.partition_len or search_fixed_length(v, self._cost)
-        table = _fixed_table(v, L, lambda rows: _fit_fixed(rows, L))
+        L = self.partition_len or search_length(self.name, v, fixed_widths_linear)
+        table = build_table(fixed_rows(v, L), lambda rows: _fit_linear(rows, L))
         return EncodedSequence(self.name, len(v), dtype_bits, L, fixed_partitions(len(v), L), table)
 
 
@@ -308,4 +310,5 @@ class LeCoVar(_LeCoBase):
         starts = var_partitions(
             v, tau=self.tau, model_bits=LinearRegressor.MODEL_BITS, exact_width=_linear_width
         )
-        return EncodedSequence(self.name, len(v), dtype_bits, None, starts, _linear_table(v, starts))
+        table = build_table(var_rows(v, starts), _fit_linear)
+        return EncodedSequence(self.name, len(v), dtype_bits, None, starts, table)

@@ -27,6 +27,7 @@ from .bitpack import bits_needed_vec
 __all__ = [
     "fixed_partitions",
     "fixed_rows",
+    "var_rows",
     "search_fixed_length",
     "var_partitions",
     "dp_optimal_partitions",
@@ -54,15 +55,18 @@ def fixed_rows(values: np.ndarray, length: int) -> list[np.ndarray]:
     return blocks
 
 
-def search_fixed_length(
-    values: np.ndarray,
-    cost_of: Callable[[np.ndarray, int], int],
-    *,
-    sample_rate: float = 0.01,
-    min_exp: int = 4,
-    max_exp: int = 17,
-    seed: int = 0,
-) -> int:
+def var_rows(values: np.ndarray, starts: np.ndarray) -> list[np.ndarray]:
+    """``values`` cut at ``starts``: one ``(1, n_k)`` block per partition."""
+    bounds = np.append(starts, len(values)).astype(np.int64).tolist()
+    return [values[a:b].reshape(1, -1) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+#: the fixed-length search samples this share of the values (<1% suffices,
+#: §3.2.1) in chunks at seeded positions, and tries L = 2^_MIN_EXP .. 2^_MAX_EXP
+_SAMPLE_RATE, _SAMPLE_SEED, _MIN_EXP, _MAX_EXP = 0.01, 0, 4, 17
+
+
+def search_fixed_length(values: np.ndarray, cost_of: Callable[[np.ndarray, int], int]) -> int:
     """Sampling-based partition-size search (§3.2.1).
 
     ``cost_of(sample, L)`` returns the compressed size in bytes of ``sample``
@@ -72,18 +76,18 @@ def search_fixed_length(
     refine around the best with two midpoint probes.
     """
     n = len(values)
-    target = max(4096, int(n * sample_rate))
+    target = max(4096, int(n * _SAMPLE_RATE))
     if n <= target * 2:
         sample = np.asarray(values)
     else:
-        g = np.random.default_rng(seed)
+        g = np.random.default_rng(_SAMPLE_SEED)
         chunk = max(512, target // 8)
         starts = g.integers(0, n - chunk, size=max(1, target // chunk))
         sample = np.concatenate([values[s : s + chunk] for s in np.sort(starts)])
     best_l, best_c = None, None
     prev_c = None
     rising = 0
-    for e in range(min_exp, max_exp + 1):
+    for e in range(_MIN_EXP, _MAX_EXP + 1):
         L = 1 << e
         if L > len(sample):
             break
@@ -141,13 +145,16 @@ def _split(d: np.ndarray, threshold: float) -> list[int]:
     return starts
 
 
+#: at most this many merge passes (a fixpoint usually comes sooner)
+_MAX_MERGE_PASSES = 8
+
+
 def var_partitions(
     values: np.ndarray,
     *,
     tau: float,
     model_bits: int,
     exact_width: Callable[[np.ndarray], int],
-    max_merge_passes: int = 8,
 ) -> np.ndarray:
     """Greedy split/merge variable-length partitioning (§3.2.2).
 
@@ -189,7 +196,7 @@ def var_partitions(
     # --- merge phase: exact-width pairwise merges to fixpoint --------------
     bounds = starts + [n]
     widths = [width(bounds[k], bounds[k + 1]) for k in range(len(starts))]
-    for _ in range(max_merge_passes):
+    for _ in range(_MAX_MERGE_PASSES):
         merged_any = False
         k = 0
         while k + 1 < len(widths):

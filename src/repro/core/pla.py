@@ -16,7 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .format import EncodedSequence
-from .leco import _LeCoBase, _linear_table
+from .leco import _LeCoBase, _fit_linear, build_table
+from .partitioner import var_rows
 
 __all__ = ["angle_partitions", "LeCoAngle"]
 
@@ -63,4 +64,5 @@ class LeCoAngle(_LeCoBase):
             if len(v)
             else np.zeros(0, dtype=np.uint32)
         )
-        return EncodedSequence(self.name, len(v), dtype_bits, None, starts, _linear_table(v, starts))
+        table = build_table(var_rows(v, starts), _fit_linear)
+        return EncodedSequence(self.name, len(v), dtype_bits, None, starts, table)

@@ -21,6 +21,9 @@ from dataclasses import dataclass, field
 from .index import build_index
 from .sstable import IndexEntry, block_get, parse_block
 
+#: modeled NVMe random-read latency charged per block-cache miss
+IO_LATENCY_S = 100e-6
+
 
 @dataclass
 class SeekStats:
@@ -47,11 +50,9 @@ class DB:
         *,
         index_kind: str = "leco",
         cache_bytes: int = 8 << 20,
-        io_latency_s: float = 100e-6,
     ):
         self.fd = os.open(path, os.O_RDONLY)
         self.index = build_index(entries, index_kind)
-        self.io_latency_s = io_latency_s
         #: the pinned index consumes cache capacity (Fig 20's core trade-off)
         self.cache_capacity = max(0, cache_bytes - self.index.nbytes())
         self.cache: OrderedDict[int, tuple[int, list]] = OrderedDict()
@@ -67,7 +68,7 @@ class DB:
             self.stats.hits += 1
             return self.cache[offset][1]
         self.stats.misses += 1
-        self.stats.modeled_io_s += self.io_latency_s
+        self.stats.modeled_io_s += IO_LATENCY_S
         blob = os.pread(self.fd, size, offset)
         entries = parse_block(blob)
         self.cache[offset] = (size, entries)

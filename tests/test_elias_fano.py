@@ -22,6 +22,12 @@ def test_rejects_unsorted():
         EliasFano().encode(np.array([3, 1, 2]))
 
 
+def test_empty_roundtrip():
+    ef = EliasFano()
+    out = ef.decode(ef.encode(np.array([], dtype=np.int64)))
+    assert out.dtype == np.int64 and len(out) == 0
+
+
 def test_repeats_allowed():
     v = np.array([5, 5, 5, 9, 9, 100])
     ef = EliasFano()

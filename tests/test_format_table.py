@@ -1,7 +1,8 @@
 """The columnar partition table and its serialized form: malformed blobs are
 rejected with ``ValueError``, empty input round-trips as zero partitions,
-and every codec on the shared layout is lossless over the full int64
-range (differential property tests against the input itself)."""
+every codec on the shared layout is lossless over the full int64 range
+(differential property tests against the input itself), and the size model
+the fixed-length search minimizes is the serialized size."""
 import struct
 
 import numpy as np
@@ -11,9 +12,11 @@ from hypothesis import strategies as st
 
 from repro.baselines.delta_codec import DeltaFix, DeltaVar
 from repro.baselines.for_codec import FORCodec
+from repro.core import leco
 from repro.core.format import EncodedSequence
 from repro.core.leco import LeCoFix, LeCoVar
 from repro.core.pla import LeCoAngle
+from repro.datasets import INTEGER_DATASETS
 
 CODECS = {
     "FOR": FORCodec(),
@@ -25,8 +28,6 @@ CODECS = {
     "Delta-fix": DeltaFix(),
     "Delta-var": DeltaVar(),
 }
-#: Delta stores the difference bias in float θ1 and refuses what it cannot hold
-MAY_REFUSE = {"Delta-fix": OverflowError, "Delta-var": OverflowError}
 
 I64_MIN, I64_MAX = -(2**63), 2**63 - 1
 EXTREMES = [I64_MIN, I64_MIN + 1, -(2**62), -1, 0, 1, 2**53 + 1, 2**62, I64_MAX - 1, I64_MAX]
@@ -131,7 +132,7 @@ def test_empty_roundtrip(name):
     assert out.dtype == np.int64 and len(out) == 0
 
 
-@pytest.mark.parametrize("name", [c for c in CODECS if c not in MAY_REFUSE])
+@pytest.mark.parametrize("name", list(CODECS))
 def test_full_range_int64(name):
     """Spreads beyond 2^63 used to clamp FOR/LeCo-fix widths to 0, and
     LeCo-fix's horizontal line lost the low bits of minima beyond 2^53."""
@@ -140,6 +141,16 @@ def test_full_range_int64(name):
     near_top = (2**60 + 3 + np.sort(g.integers(0, 1000, 300))).astype(np.int64)
     for v in (np.array(EXTREMES * 5), full, near_top, np.r_[full[:100], near_top]):
         _check_lossless(CODECS[name], v)
+
+
+@pytest.mark.parametrize("codec", [DeltaFix(), DeltaFix(7), DeltaVar()], ids=["fix", "fix-7", "var"])
+def test_delta_difference_bias_beyond_2_53(codec):
+    """A partition whose difference bias float θ1 cannot hold exactly stores
+    its wrapping differences at width 64 with bias 0, and round-trips."""
+    drop = np.arange(200, dtype=np.int64)
+    drop[100:] -= 2**60  # a sorted run with one −2^60 step
+    for v in (np.array([0, 2**62, -(2**62), 5]), drop):
+        _check_lossless(codec, v)
 
 
 @st.composite
@@ -156,7 +167,24 @@ def int64_columns(draw):
 @given(values=int64_columns(), name=st.sampled_from(list(CODECS)))
 @settings(max_examples=300, deadline=None)
 def test_roundtrip_property(values, name):
-    try:
-        _check_lossless(CODECS[name], values)
-    except MAY_REFUSE.get(name, ()):
-        pass  # refused, never a wrong answer
+    _check_lossless(CODECS[name], values)
+
+
+# -- the size model the fixed-length search minimizes -------------------------
+
+@pytest.mark.parametrize("codec", [FORCodec, LeCoFix, DeltaFix], ids=lambda c: c.name)
+@pytest.mark.parametrize("dataset", ["normal", "ml", "books", "movieid", "full-range"])
+def test_size_model_is_serialized_size(codec, dataset, monkeypatch):
+    """The cost each candidate partition length gets in the search is the
+    serialized size less the global header (17 bytes), ``fixed_len`` (4)
+    and each partition's ``payload_len`` (4)."""
+    if dataset == "full-range":
+        v = np.random.default_rng(5).integers(I64_MIN, I64_MAX, 5000, dtype=np.int64, endpoint=True)
+    else:
+        v = INTEGER_DATASETS[dataset](5000)[0]
+    costs = []
+    monkeypatch.setattr(leco, "search_fixed_length", lambda values, cost_of: costs.append(cost_of) or 16)
+    codec().encode(v)
+    for L in (16, 100, 1000, 4096):
+        enc = codec(L).encode(v)
+        assert costs[0](v, L) == enc.nbytes() - 17 - 4 - 4 * len(enc.partitions), L
