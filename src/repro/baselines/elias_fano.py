@@ -50,7 +50,7 @@ class EliasFano:
 
     def encode(self, values: np.ndarray, *, dtype_bits: int = 64) -> EFEncoded:
         v = np.asarray(values, dtype=np.int64)
-        if len(v) > 1 and (np.diff(v) < 0).any():
+        if (v[1:] < v[:-1]).any():  # np.diff would wrap on full-range int64
             raise ValueError("Elias-Fano requires a sorted (non-decreasing) sequence")
         if not len(v):
             upper, rank_dir = np.zeros(0, dtype=np.uint8), np.zeros(1, dtype=np.uint32)

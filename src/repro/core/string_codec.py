@@ -20,6 +20,8 @@ encoder and decoder evaluate ``int(floor(θ0 + θ1·i))`` identically.
 """
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,14 +157,15 @@ class StringLeCo:
         )
 
     # -- decoding -----------------------------------------------------------
-    def _decode_value(self, p: StringPartition, i: int) -> str:
-        import math
+    @staticmethod
+    def _stored(p: StringPartition, i: int) -> int:
+        """The padded integer stored at ``i``: model inference + delta."""
+        return math.floor(p.theta0 + p.theta1 * i) + p.bias + extract_bigint(p.deltas, p.delta_width, i)
 
-        pred = math.floor(p.theta0 + p.theta1 * i)
-        v = pred + p.bias + extract_bigint(p.deltas, p.delta_width, i)
+    def _decode_value(self, p: StringPartition, i: int) -> str:
         length = extract_bigint(p.lengths, p.len_width, i)
         # drop the padding digits in one division, then peel the real ones
-        v //= p.base ** (p.max_len - length)
+        v = self._stored(p, i) // p.base ** (p.max_len - length)
         digits = []
         for _ in range(length):
             v, r = divmod(v, p.base)
@@ -183,33 +186,44 @@ class StringLeCo:
         return self._decode_value(p, i % enc.partition_len)
 
     # -- integer-domain comparisons (used by index binary search, §5.2) -----
-    def mapped_value(self, enc: StringEncoded, i: int) -> int:
-        """The padded integer at position ``i`` without materializing the
-        string — one model inference + one delta fetch."""
-        import math
-
+    # Within a partition every string is prefix + tail, the tail over the
+    # charset and at most W long.  For such tails lexicographic order is the
+    # order of (min-padded integer, length): the first differing character is
+    # the first differing digit, and a proper prefix pads with the smallest
+    # digit, ties on the integer and loses on the length.
+    def mapped_value(self, enc: StringEncoded, i: int) -> tuple[int, int]:
+        """Order key ``(min-padded integer, length)`` of the string at ``i``
+        without materializing it: one model inference and two bounded bit
+        reads.  The stored integer lies between the tail's minimal and
+        maximal padding, so clearing its padding digits gives the minimal."""
         p = enc.partitions[i // enc.partition_len]
         j = i % enc.partition_len
-        pred = math.floor(p.theta0 + p.theta1 * j)
-        return pred + p.bias + extract_bigint(p.deltas, p.delta_width, j)
+        length = extract_bigint(p.lengths, p.len_width, j)
+        pad = p.base ** (p.max_len - length)
+        return self._stored(p, j) // pad * pad, length
 
     @staticmethod
-    def map_query(p: StringPartition, s: str) -> int:
-        """Min-padded integer of query ``s`` under partition ``p``'s mapping,
-        for an *approximate* lower-bound search (chars outside the charset
-        round up; callers must fix up with exact string compares).  Returns
-        -1 / a huge sentinel when ``s`` orders entirely below / above the
-        partition's prefix."""
-        import bisect
+    def map_query(p: StringPartition, s: str) -> tuple[int, int]:
+        """Order key of any query ``s`` under partition ``p``, exact: a stored
+        string is < ``s`` if and only if its :meth:`mapped_value` is <
+        ``map_query(p, s)``.
 
+        A tail longer than W ranks as ``(minpad(tail[:W]), W + 1)``.  At the
+        first character ``c`` outside the charset, ``s`` ranks as the
+        smallest string ``tail[:j] + charset[d]`` above it (``d`` = charset
+        characters below ``c``), or, when ``c`` is above the whole charset,
+        just past every string extending ``tail[:j]``.  A head below / above
+        the prefix ranks below / above every stored string."""
         pre = p.prefix
         head = s[: len(pre)]
-        if head < pre:
-            return -1
-        if head > pre:
-            return p.base ** (p.max_len + 1)
-        t = s[len(pre) :][: p.max_len]
+        if head != pre:
+            return (-1, 0) if head < pre else (p.base ** (p.max_len + 1), 0)
+        t = s[len(pre) :]
+        cs, base, w = p.charset, p.base, p.max_len
         acc = 0
-        for ch in t:
-            acc = acc * p.base + bisect.bisect_left(p.charset, ch)
-        return acc * p.base ** (p.max_len - len(t))
+        for j, ch in enumerate(t[:w]):
+            d = bisect.bisect_left(cs, ch)
+            if d == len(cs) or cs[d] != ch:
+                return (acc * base + d) * base ** (w - j - 1), (j + 1 if d < len(cs) else 0)
+            acc = acc * base + d
+        return acc * base ** (w - min(len(t), w)), min(len(t), w + 1)

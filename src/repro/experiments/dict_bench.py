@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..baselines.for_codec import FORCodec
-from ..core.format import PARTITION_HEADER_BYTES
+from ..core.format import _PART_HDR
 from ..core.leco import LeCoFix
 
 PAGE = 4096
@@ -67,7 +67,7 @@ class _PagedDict:
             self.codec = codec
             self.nbytes = self.enc.nbytes()
             # byte offset of each partition within the serialized dictionary
-            sizes = PARTITION_HEADER_BYTES + 4 + self.enc.partitions.payload_len  # + payload_len u32
+            sizes = _PART_HDR.itemsize + self.enc.partitions.payload_len
             self._part_off = np.concatenate(([0], np.cumsum(sizes)))
             starts = np.append(self.enc.starts, len(values)).astype(np.int64)
             self._starts = starts

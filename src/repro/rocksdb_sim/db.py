@@ -5,9 +5,9 @@ is pinned in cache, as in the paper's ``pin_l0_filter_and_index_blocks_in_
 cache`` setting) → block-cache lookup → on miss, a real ``pread`` of the
 4KB data block plus a modeled NVMe random-read latency (the paper uses
 direct I/O on a local NVMe; the OS page cache would hide that here —
-DESIGN.md §2) → binary search within the block.
+DESIGN.md §2) → a walk of the raw block to the key.
 
-The block cache is an LRU over parsed data blocks whose *capacity is
+The block cache is an LRU over raw data blocks whose *capacity is
 reduced by the pinned index size* — this is precisely the mechanism behind
 Fig 20: a smaller compressed index leaves more cache for data blocks.
 """
@@ -19,7 +19,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from .index import build_index
-from .sstable import IndexEntry, block_get, parse_block
+from .sstable import IndexEntry, block_get
 
 #: modeled NVMe random-read latency charged per block-cache miss
 IO_LATENCY_S = 100e-6
@@ -55,28 +55,27 @@ class DB:
         self.index = build_index(entries, index_kind)
         #: the pinned index consumes cache capacity (Fig 20's core trade-off)
         self.cache_capacity = max(0, cache_bytes - self.index.nbytes())
-        self.cache: OrderedDict[int, tuple[int, list]] = OrderedDict()
+        self.cache: OrderedDict[int, bytes] = OrderedDict()
         self.cache_used = 0
         self.stats = SeekStats()
 
     def close(self) -> None:
         os.close(self.fd)
 
-    def _fetch_block(self, offset: int, size: int) -> list:
+    def _fetch_block(self, offset: int, size: int) -> bytes:
         if offset in self.cache:
             self.cache.move_to_end(offset)
             self.stats.hits += 1
-            return self.cache[offset][1]
+            return self.cache[offset]
         self.stats.misses += 1
         self.stats.modeled_io_s += IO_LATENCY_S
         blob = os.pread(self.fd, size, offset)
-        entries = parse_block(blob)
-        self.cache[offset] = (size, entries)
-        self.cache_used += size
+        self.cache[offset] = blob
+        self.cache_used += len(blob)
         while self.cache_used > self.cache_capacity and self.cache:
-            _, (sz, _) = self.cache.popitem(last=False)
-            self.cache_used -= sz
-        return entries
+            _, old = self.cache.popitem(last=False)
+            self.cache_used -= len(old)
+        return blob
 
     def seek(self, key: bytes) -> bytes | None:
         t0 = time.perf_counter()
@@ -85,8 +84,7 @@ class DB:
             self.stats.cpu_s += time.perf_counter() - t0
             self.stats.queries += 1
             return None
-        entries = self._fetch_block(*handle)
-        out = block_get(entries, key)
+        out = block_get(self._fetch_block(*handle), key)
         self.stats.cpu_s += time.perf_counter() - t0
         self.stats.queries += 1
         return out

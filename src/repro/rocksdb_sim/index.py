@@ -11,13 +11,14 @@ cost that grows with RI, exactly the trade-off the paper measures.
 
 ``LeCoIndex`` compresses the separator keys with the §3.4 string extension
 and the block offsets with LeCo-fix; a lookup binary-searches directly on
-the *compressed* keys — comparisons run in the mapped-integer domain (one
-model inference + one delta fetch each) with an exact string fix-up at the
-end, so no compression unit is ever sequentially decoded.
+the *compressed* keys.  Each probe compares a key's order key
+``(min-padded integer, length)`` — one model inference and two bounded bit
+reads — with the query's, which is exact within a partition, so a seek
+decodes no string and never sequentially decodes a compression unit.
 """
 from __future__ import annotations
 
-import struct
+import bisect
 
 import numpy as np
 
@@ -120,8 +121,7 @@ class LeCoIndex:
     def __init__(self, entries: list[IndexEntry], partition_len: int = 64):
         self.n = len(entries)
         self._skc = StringLeCo(partition_len=partition_len, pow2_base=True)
-        self._strings = [e.key.decode("latin1") for e in entries]
-        self._keys = self._skc.encode(self._strings)
+        self._keys = self._skc.encode([e.key.decode("latin1") for e in entries])
         self._ic = LeCoFix(partition_len)
         self._offs = self._ic.encode(
             np.asarray([e.offset for e in entries] + [entries[-1].offset + entries[-1].size]),
@@ -129,59 +129,29 @@ class LeCoIndex:
         )
         # Derived hot metadata (recomputable from the compressed form, so it
         # does not count toward nbytes — the paper's "model often cached"):
-        self._part_firsts = [
-            self._strings[k * partition_len]
-            for k in range(len(self._keys.partitions))
-        ]
+        self._part_firsts = [e.key for e in entries[::partition_len]]
 
     def nbytes(self) -> int:
         return self._keys.nbytes() + self._offs.nbytes()
 
-    def _key_at(self, i: int) -> str:
-        return self._skc.access(self._keys, i)
-
     def seek(self, key: bytes) -> tuple[int, int] | None:
-        import bisect
-
-        ks = key.decode("latin1")
-        L = self._keys.partition_len
         # 1) binary search over partitions by their first key (cached)
-        plo = bisect.bisect_left(self._part_firsts, ks)
-        pk = max(0, plo - 1)
+        pk = max(0, bisect.bisect_left(self._part_firsts, key) - 1)
         part = self._keys.partitions[pk]
-        base = pk * L
-        # 2) integer-domain lower-bound search within the partition
-        q = self._skc.map_query(part, ks)
-        lo, hi = 0, part.n
+        # 2) exact lower bound within the partition on (min-padded int, length)
+        q = self._skc.map_query(part, key.decode("latin1"))
+        lo = pk * self._keys.partition_len
+        hi = lo + part.n
         while lo < hi:
             mid = (lo + hi) // 2
-            if self._skc.mapped_value(self._keys, base + mid) < q:
+            if self._skc.mapped_value(self._keys, mid) < q:
                 lo = mid + 1
             else:
                 hi = mid
-        i = base + lo
-        # 3) exact fix-up with true string compares (mapping is approximate)
-        for _ in range(64):
-            if i > base and self._key_at(i - 1) >= ks:
-                i -= 1
-            elif i < self.n and self._key_at(i) < ks:
-                i += 1
-            else:
-                break
-        else:  # pathological mapping: fall back to exact binary search
-            lo, hi = 0, self.n
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if self._key_at(mid) < ks:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            i = lo
-        if i >= self.n:
+        if lo >= self.n:
             return None
-        off = self._ic.access(self._offs, i)
-        end = self._ic.access(self._offs, i + 1)
-        return off, end - off
+        off = self._ic.access(self._offs, lo)
+        return off, self._ic.access(self._offs, lo + 1) - off
 
 
 def build_index(entries: list[IndexEntry], kind: str):

@@ -5,7 +5,7 @@ An SSTable is a file of 4KB-ish data blocks of sorted key/value entries
 index entries — one per block: the block's last key (the separator) and a
 "block handle" (byte offset + size).  The index-block *representations*
 (RocksDB restart-interval delta vs LeCo) live in ``index.py``; this module
-only builds the table and parses blocks.
+only builds the table and reads values out of raw blocks.
 """
 from __future__ import annotations
 
@@ -75,31 +75,18 @@ def build_sstable(
     ]
 
 
-def parse_block(blob: bytes) -> list[tuple[bytes, bytes]]:
-    out = []
-    i = 0
-    while i < len(blob):
-        (kl,) = struct.unpack_from("<H", blob, i)
-        k = blob[i + 2 : i + 2 + kl]
-        i += 2 + kl
-        (vl,) = struct.unpack_from("<H", blob, i)
-        v = blob[i + 2 : i + 2 + vl]
-        i += 2 + vl
-        out.append((k, v))
-    return out
-
-
-def block_get(entries: list[tuple[bytes, bytes]], key: bytes) -> bytes | None:
-    """Binary search inside a parsed data block."""
-    lo, hi = 0, len(entries)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if entries[mid][0] < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    if lo < len(entries) and entries[lo][0] == key:
-        return entries[lo][1]
+def block_get(blob: bytes, key: bytes) -> bytes | None:
+    """Value of ``key`` in a raw data block, read where it lies: walk the
+    entries by their ``u16`` lengths, stop at the first key >= ``key`` and
+    slice only that entry's value."""
+    i, end = 0, len(blob)
+    while i < end:
+        j = i + 2 + (blob[i] | blob[i + 1] << 8)  # end of the key
+        v = j + 2 + (blob[j] | blob[j + 1] << 8)  # end of the value
+        k = blob[i + 2 : j]
+        if k >= key:
+            return blob[j + 2 : v] if k == key else None
+        i = v
     return None
 
 

@@ -69,3 +69,12 @@ def test_negative_base():
     ef = EliasFano()
     enc = ef.encode(v)
     assert np.array_equal(ef.decode(enc), v)
+
+
+def test_full_range_sorted_pair():
+    """The sortedness check must not wrap: 2^63 − 1 − (−2^63) overflows int64."""
+    ef = EliasFano()
+    v = np.array([-(2**63), 2**63 - 1], dtype=np.int64)
+    enc = ef.encode(v)
+    assert np.array_equal(ef.decode(enc), v)
+    assert [ef.access(enc, i) for i in range(2)] == v.tolist()
