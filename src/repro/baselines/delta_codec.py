@@ -17,11 +17,11 @@ import numpy as np
 
 from ..core.bitpack import bits_needed, bits_needed_vec, unpack
 from ..core.format import EncodedSequence, PartitionTable
-from ..core.leco import build_table, fixed_widths, search_length
-from ..core.partitioner import fixed_partitions, fixed_rows, var_partitions, var_rows
+from ..core.leco import decode_table, encode_fixed, encode_var
+from ..core.partitioner import var_partitions
 
-#: model cost in bits for a Delta partition: first value (64) + bias (64).
-DELTA_MODEL_BITS = 128
+#: a difference bias at or below this is not exact in the float θ1
+_WIDE_BIAS = -(2**53)
 
 
 def _delta_width(sub: np.ndarray) -> int:
@@ -29,26 +29,28 @@ def _delta_width(sub: np.ndarray) -> int:
     ``Δ = ⌈log2(max dᵢ)⌉``: raw differences are stored (no trend/bias is
     subtracted — that would be LeCo's job, not Delta's); a negative bias is
     applied only when the input is locally unsorted, standing in for the
-    sign handling signed diffs would otherwise need."""
+    sign handling signed diffs would otherwise need.  A bias ≤ −2^53 prices
+    the width 64 that :func:`_delta_fit` stores such a partition at."""
     if len(sub) < 2:
         return 0
     d = np.diff(np.asarray(sub, dtype=np.int64))
-    return bits_needed(int(d.max()) - min(0, int(d.min())))
+    dbias = min(0, int(d.min()))
+    return 64 if dbias <= _WIDE_BIAS else bits_needed(int(d.max()) - dbias)
 
 
-def _delta_fit(rows: np.ndarray):
+def _delta_fit(rows: np.ndarray, L: int | None = None):
     """Delta's fit over equal-length partitions stacked as rows, at
     :func:`_delta_width`'s width: the first value in the exact int64 bias
     (a float θ0 would round it beyond 2^53), the per-step difference bias
     in θ1, and the first differences less that bias stored.  A row whose
     difference bias is ≤ −2^53, which θ1 cannot hold exactly, stores its
     wrapping differences at width 64 with bias 0 instead; the decoder's
-    prefix sum wraps back to the exact values."""
+    prefix sum wraps back to the exact values.  ``L`` plays no part."""
     d = np.diff(rows, axis=1)
     spread = d if d.shape[1] else np.zeros((len(rows), 1), dtype=np.int64)
     dbias = np.minimum(0, spread.min(axis=1))
     width = bits_needed_vec(spread.max(axis=1) - dbias)
-    wide = dbias <= -(2**53)
+    wide = dbias <= _WIDE_BIAS
     dbias[wide], width[wide] = 0, 64
     return np.zeros(len(rows)), dbias.astype(np.float64), rows[:, 0], width, d - dbias[:, None]
 
@@ -68,10 +70,7 @@ class _DeltaBase:
     supports_random_access = False  # access is O(partition prefix)
 
     def decode(self, enc: EncodedSequence) -> np.ndarray:
-        t = enc.partitions
-        if not len(t):
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate([_decode_partition(t, k) for k in range(len(t))])
+        return decode_table(enc, _decode_partition)
 
     def access(self, enc: EncodedSequence, i: int) -> int:
         k, off = enc.partition_of(i)
@@ -87,10 +86,7 @@ class DeltaFix(_DeltaBase):
         self.partition_len = partition_len
 
     def encode(self, values: np.ndarray, *, dtype_bits: int = 64) -> EncodedSequence:
-        v = np.asarray(values, dtype=np.int64)
-        L = self.partition_len or search_length(self.name, v, lambda s, L: fixed_widths(s, L, _delta_fit))
-        table = build_table(fixed_rows(v, L), _delta_fit)
-        return EncodedSequence(self.name, len(v), dtype_bits, L, fixed_partitions(len(v), L), table)
+        return encode_fixed(self.name, values, dtype_bits, self.partition_len, _delta_fit)
 
 
 class DeltaVar(_DeltaBase):
@@ -102,9 +98,5 @@ class DeltaVar(_DeltaBase):
         self.tau = tau
 
     def encode(self, values: np.ndarray, *, dtype_bits: int = 64) -> EncodedSequence:
-        v = np.asarray(values, dtype=np.int64)
-        starts = var_partitions(
-            v, tau=self.tau, model_bits=DELTA_MODEL_BITS, exact_width=_delta_width
-        )
-        table = build_table(var_rows(v, starts), _delta_fit)
-        return EncodedSequence(self.name, len(v), dtype_bits, None, starts, table)
+        starts = var_partitions(values, tau=self.tau, exact_width=_delta_width)
+        return encode_var(self.name, values, dtype_bits, starts, _delta_fit)

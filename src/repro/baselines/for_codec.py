@@ -13,13 +13,12 @@ import numpy as np
 
 from ..core.bitpack import bits_needed_vec
 from ..core.format import EncodedSequence
-from ..core.leco import _value_at, build_table, decode_table, fixed_widths, search_length
-from ..core.partitioner import fixed_partitions, fixed_rows
+from ..core.leco import _value_at, decode_table, encode_fixed
 
 
-def _frame_fit(rows: np.ndarray):
+def _frame_fit(rows: np.ndarray, L: int | None = None):
     """FOR's fit per frame: the horizontal line θ0 = θ1 = 0, frame min in
-    bias, offsets from it stored."""
+    bias, offsets from it stored (the frame length ``L`` plays no part)."""
     rmin = rows.min(axis=1)
     zeros = np.zeros(len(rows))
     return zeros, zeros, rmin, bits_needed_vec(rows.max(axis=1) - rmin), rows - rmin[:, None]
@@ -35,14 +34,10 @@ class FORCodec:
         self.partition_len = partition_len
 
     def encode(self, values: np.ndarray, *, dtype_bits: int = 64) -> EncodedSequence:
-        v = np.asarray(values, dtype=np.int64)
-        L = self.partition_len or search_length(self.name, v, lambda s, L: fixed_widths(s, L, _frame_fit))
-        table = build_table(fixed_rows(v, L), _frame_fit)
-        return EncodedSequence(self.name, len(v), dtype_bits, L, fixed_partitions(len(v), L), table)
+        return encode_fixed(self.name, values, dtype_bits, self.partition_len, _frame_fit)
 
     def decode(self, enc: EncodedSequence) -> np.ndarray:
         return decode_table(enc)
 
     def access(self, enc: EncodedSequence, i: int) -> int:
-        k, off = enc.partition_of(i)
-        return _value_at(enc.partitions, k, off)
+        return _value_at(enc.partitions, *enc.partition_of(i))

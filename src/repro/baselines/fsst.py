@@ -26,6 +26,8 @@ import numpy as np
 _ESCAPE = 255
 _MAX_SYMBOLS = 254
 _MAX_LEN = 8
+#: the symbol table is learned from at most this many bytes of the corpus
+_SAMPLE_BYTES = 200_000
 
 
 @dataclass
@@ -51,13 +53,13 @@ class FSSTEncoded:
         return self.nbytes() / self.raw_bytes()
 
 
-def build_symbol_table(corpus: list[str], sample_bytes: int = 200_000) -> list[bytes]:
+def build_symbol_table(corpus: list[str]) -> list[bytes]:
     """Pick the ≤254 substrings (2..8 bytes) with the highest compression
-    gain from a sample of the corpus."""
+    gain from a sample of at most ``_SAMPLE_BYTES`` of the corpus."""
     blob = "".join(corpus)
-    if len(blob) > sample_bytes:
-        stride = len(blob) // sample_bytes + 1
-        blob = "".join(corpus[::stride])[:sample_bytes]
+    if len(blob) > _SAMPLE_BYTES:
+        stride = len(blob) // _SAMPLE_BYTES + 1
+        blob = "".join(corpus[::stride])[:_SAMPLE_BYTES]
     counts: Counter[str] = Counter()
     for i in range(len(blob)):
         for ln in range(2, _MAX_LEN + 1):

@@ -10,8 +10,9 @@ a bit-packed unsigned delta array, giving O(1) random access:
 
 FOR is the θ0 = θ1 = 0 case of the same layout, so FOR shares this module's
 decode and access kernels.  FOR, LeCo and Delta differ only in their
-per-partition fit; every one of them builds its table with
-:func:`build_table`.
+per-partition fit and their layout: every one of them encodes through
+:func:`encode_fixed` or :func:`encode_var` and decodes through
+:func:`decode_table`.
 """
 from __future__ import annotations
 
@@ -120,28 +121,24 @@ def _fit_linear(rows: np.ndarray, L: int | None = None):
 
 def fixed_widths(values: np.ndarray, L: int, fit) -> np.ndarray:
     """Per-partition widths ``fit`` gives fixed-length-``L`` partitions of ``values``."""
-    return np.concatenate([fit(rows)[3] for rows in fixed_rows(np.asarray(values, dtype=np.int64), L)])
+    return np.concatenate([fit(rows, L)[3] for rows in fixed_rows(np.asarray(values, dtype=np.int64), L)])
 
 
 def fixed_widths_linear(values: np.ndarray, L: int) -> np.ndarray:
     """Per-partition delta widths for fixed-length-L LeCo over ``values``."""
-    return fixed_widths(values, L, lambda rows: _fit_linear(rows, L))
+    return fixed_widths(values, L, _fit_linear)
 
 
-def search_length(scheme: str, values: np.ndarray, widths) -> int:
-    """Searched fixed partition length: each candidate ``L`` is priced by the
-    size model ``format.fixed_size`` at the widths ``widths(sample, L)``."""
-    return search_fixed_length(values, lambda s, L: fixed_size(scheme, len(s), L, widths(s, L)))
-
-
-def build_table(blocks: list[np.ndarray], fit) -> PartitionTable:
+def build_table(blocks: list[np.ndarray], fit, L: int | None = None) -> PartitionTable:
     """The one Model+Delta table builder.  ``blocks`` stack equal-length
     partitions as rows (``partitioner.fixed_rows`` or ``var_rows``), and
-    ``fit(rows)`` gives each row's ``(θ0, θ1, bias, width, stored)``, where
-    ``stored`` is what gets packed unsigned at ``width`` bits: ``n`` deltas,
-    or Delta's ``n − 1`` differences.  A block of several rows is packed by
-    ``pack_rows``, a single row by one ``pack`` call, cheaper for one row."""
-    fits = [fit(rows) for rows in blocks]
+    ``fit(rows, L)`` gives each row's ``(θ0, θ1, bias, width, stored)``,
+    where ``stored`` is what gets packed unsigned at ``width`` bits: ``n``
+    deltas, or Delta's ``n − 1`` differences.  ``L`` is the fixed partition
+    length, None for a variable-length layout.  A block of several rows is
+    packed by ``pack_rows``, a single row by one ``pack`` call, cheaper for
+    one row."""
+    fits = [fit(rows, L) for rows in blocks]
     theta0, theta1, bias, width = (
         np.concatenate([f[j] for f in fits]) if fits else np.empty(0, dtype=np.int64) for j in range(4)
     )
@@ -150,6 +147,26 @@ def build_table(blocks: list[np.ndarray], fit) -> PartitionTable:
     n_stored = np.repeat([f[4].shape[1] for f in fits], m)
     payload = b"".join(pack(s[0], int(w[0])) if len(s) == 1 else pack_rows(s, w) for *_, w, s in fits)
     return PartitionTable.build(theta0, theta1, bias, width, n, packed_size(n_stored, width), payload)
+
+
+def encode_fixed(scheme: str, values, dtype_bits: int, L: int | None, fit, widths=None) -> EncodedSequence:
+    """``values`` as ``scheme`` in fixed-length-``L`` partitions fitted by
+    ``fit``.  When ``L`` is None it is searched (§3.2.1): each candidate is
+    priced by the size model ``format.fixed_size`` at the widths
+    ``widths(sample, L)``, by default the ones ``fit`` gives."""
+    v = np.asarray(values, dtype=np.int64)
+    if L is None:
+        widths = widths or (lambda s, L: fixed_widths(s, L, fit))
+        L = search_fixed_length(v, lambda s, L: fixed_size(scheme, len(s), L, widths(s, L)))
+    starts = fixed_partitions(len(v), L)
+    return EncodedSequence(scheme, len(v), dtype_bits, L, starts, build_table(fixed_rows(v, L), fit, L))
+
+
+def encode_var(scheme: str, values, dtype_bits: int, starts: np.ndarray, fit) -> EncodedSequence:
+    """``values`` as ``scheme`` in the variable-length partitions beginning at
+    ``starts``, each fitted by ``fit``."""
+    v = np.asarray(values, dtype=np.int64)
+    return EncodedSequence(scheme, len(v), dtype_bits, None, starts, build_table(var_rows(v, starts), fit))
 
 
 def _decode_partition(t: PartitionTable, k: int, start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -252,12 +269,14 @@ def access_many(enc: EncodedSequence, positions) -> np.ndarray:
     return np.floor(t.theta0[k] + t.theta1[k] * i).astype(np.int64) + t.bias[k] + deltas
 
 
-def decode_table(enc: EncodedSequence) -> np.ndarray:
-    """Full decode of a LeCo or FOR sequence, partition by partition."""
-    t = enc.partitions
+def decode_table(enc: EncodedSequence, part=None) -> np.ndarray:
+    """Full decode of a Model+Delta sequence, partition by partition:
+    ``part(t, k)`` decodes partition ``k`` (LeCo's and FOR's
+    :func:`_decode_partition` when None; Delta passes its prefix sum)."""
+    t, part = enc.partitions, part or _decode_partition
     if not len(t):
         return np.empty(0, dtype=np.int64)
-    return np.concatenate([_decode_partition(t, k) for k in range(len(t))])
+    return np.concatenate([part(t, k) for k in range(len(t))])
 
 
 class _LeCoBase:
@@ -267,8 +286,7 @@ class _LeCoBase:
         return decode_table(enc)
 
     def access(self, enc: EncodedSequence, i: int) -> int:
-        k, off = enc.partition_of(i)
-        return _value_at(enc.partitions, k, off)
+        return _value_at(enc.partitions, *enc.partition_of(i))
 
     def decode_range(self, enc: EncodedSequence, start: int, stop: int) -> np.ndarray:
         """Decode global positions ``[start, stop)`` touching only the needed partitions."""
@@ -291,10 +309,8 @@ class LeCoFix(_LeCoBase):
         self.partition_len = partition_len
 
     def encode(self, values: np.ndarray, *, dtype_bits: int = 64) -> EncodedSequence:
-        v = np.asarray(values, dtype=np.int64)
-        L = self.partition_len or search_length(self.name, v, fixed_widths_linear)
-        table = build_table(fixed_rows(v, L), lambda rows: _fit_linear(rows, L))
-        return EncodedSequence(self.name, len(v), dtype_bits, L, fixed_partitions(len(v), L), table)
+        L = self.partition_len
+        return encode_fixed(self.name, values, dtype_bits, L, _fit_linear, fixed_widths_linear)
 
 
 class LeCoVar(_LeCoBase):
@@ -306,9 +322,5 @@ class LeCoVar(_LeCoBase):
         self.tau = tau
 
     def encode(self, values: np.ndarray, *, dtype_bits: int = 64) -> EncodedSequence:
-        v = np.asarray(values, dtype=np.int64)
-        starts = var_partitions(
-            v, tau=self.tau, model_bits=LinearRegressor.MODEL_BITS, exact_width=_linear_width
-        )
-        table = build_table(var_rows(v, starts), _fit_linear)
-        return EncodedSequence(self.name, len(v), dtype_bits, None, starts, table)
+        starts = var_partitions(values, tau=self.tau, exact_width=_linear_width)
+        return encode_var(self.name, values, dtype_bits, starts, _fit_linear)

@@ -36,6 +36,10 @@ __all__ = [
 #: minimum values per starting partition for a linear Regressor (§3.2.2).
 MIN_PARTITION = 3
 
+#: S_M, a partition's model size in bits: two 64-bit parameters (LeCo's
+#: θ0 and θ1; Delta's first value and difference bias).
+MODEL_BITS = 128
+
 
 def fixed_partitions(n: int, length: int) -> np.ndarray:
     """Start indices of fixed-``length`` partitions covering ``[0, n)``."""
@@ -153,7 +157,6 @@ def var_partitions(
     values: np.ndarray,
     *,
     tau: float,
-    model_bits: int,
     exact_width: Callable[[np.ndarray], int],
 ) -> np.ndarray:
     """Greedy split/merge variable-length partitioning (§3.2.2).
@@ -169,7 +172,7 @@ def var_partitions(
     n = len(v)
     if n <= MIN_PARTITION:
         return np.zeros(min(n, 1), dtype=np.uint32)
-    starts = _split(np.diff(v), tau * model_bits)
+    starts = _split(np.diff(v), tau * MODEL_BITS)
 
     memo: dict[tuple[int, int], int] = {}
 
@@ -190,7 +193,7 @@ def var_partitions(
     refined: list[int] = []
     for k, s in enumerate(starts):
         e = starts[k + 1] if k + 1 < len(starts) else n
-        refined.extend(_bisect(s, e, width, model_bits))
+        refined.extend(_bisect(s, e, width))
     starts = refined
 
     # --- merge phase: exact-width pairwise merges to fixpoint --------------
@@ -202,8 +205,8 @@ def var_partitions(
         while k + 1 < len(widths):
             a, b, c = bounds[k], bounds[k + 1], bounds[k + 2]
             w_m = width(a, c)
-            merged = model_bits + (c - a) * w_m
-            separate = 2 * model_bits + (b - a) * widths[k] + (c - b) * widths[k + 1]
+            merged = MODEL_BITS + (c - a) * w_m
+            separate = 2 * MODEL_BITS + (b - a) * widths[k] + (c - b) * widths[k + 1]
             if merged <= separate:
                 del bounds[k + 1]
                 widths[k : k + 2] = [w_m]
@@ -215,26 +218,21 @@ def var_partitions(
     return np.asarray(bounds[:-1], dtype=np.uint32)
 
 
-def _bisect(lo: int, hi: int, width: Callable[[int, int], int], model_bits: int) -> list[int]:
+def _bisect(lo: int, hi: int, width: Callable[[int, int], int]) -> list[int]:
     """Recursively split ``[lo, hi)`` at the midpoint while the exact encoded
     size (model + deltas, in bits; ``width(a, b)`` of ``[a, b)``) decreases.
     Returns partition starts."""
     if hi - lo < 2 * MIN_PARTITION:
         return [lo]
     mid = (lo + hi) // 2
-    whole = model_bits + (hi - lo) * width(lo, hi)
-    halves = 2 * model_bits + (mid - lo) * width(lo, mid) + (hi - mid) * width(mid, hi)
+    whole = MODEL_BITS + (hi - lo) * width(lo, hi)
+    halves = 2 * MODEL_BITS + (mid - lo) * width(lo, mid) + (hi - mid) * width(mid, hi)
     if halves >= whole:
         return [lo]
-    return _bisect(lo, mid, width, model_bits) + _bisect(mid, hi, width, model_bits)
+    return _bisect(lo, mid, width) + _bisect(mid, hi, width)
 
 
-def dp_optimal_partitions(
-    values: Sequence[int],
-    cost_bits: Callable[[np.ndarray], int],
-    *,
-    min_len: int = 1,
-) -> np.ndarray:
+def dp_optimal_partitions(values: Sequence[int], cost_bits: Callable[[np.ndarray], int]) -> np.ndarray:
     """Exact optimal partitioning by dynamic programming (test oracle only).
 
     ``cost_bits(sub)`` is the total encoded size in bits of one partition
@@ -248,7 +246,7 @@ def dp_optimal_partitions(
     prev = [0] * (n + 1)
     best[0] = 0.0
     for j in range(1, n + 1):
-        for i in range(max(0, j - 4096), j - min_len + 1):
+        for i in range(max(0, j - 4096), j):
             if best[i] == INF:
                 continue
             c = best[i] + cost_bits(v[i:j])

@@ -16,8 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .format import EncodedSequence
-from .leco import _LeCoBase, _fit_linear, build_table
-from .partitioner import var_rows
+from .leco import _LeCoBase, _fit_linear, encode_var
 
 __all__ = ["angle_partitions", "LeCoAngle"]
 
@@ -58,11 +57,6 @@ class LeCoAngle(_LeCoBase):
         self.epsilon_bits = epsilon_bits
 
     def encode(self, values: np.ndarray, *, dtype_bits: int = 64) -> EncodedSequence:
-        v = np.asarray(values, dtype=np.int64)
-        starts = (
-            angle_partitions(v, float(2 ** (self.epsilon_bits - 1)))
-            if len(v)
-            else np.zeros(0, dtype=np.uint32)
-        )
-        table = build_table(var_rows(v, starts), _fit_linear)
-        return EncodedSequence(self.name, len(v), dtype_bits, None, starts, table)
+        eps = float(2 ** (self.epsilon_bits - 1))
+        starts = angle_partitions(values, eps) if len(values) else np.zeros(0, dtype=np.uint32)
+        return encode_var(self.name, values, dtype_bits, starts, _fit_linear)

@@ -52,9 +52,6 @@ class LinearModel:
 class LinearRegressor:
     """Least-squares linear fit + θ0 re-centering (the paper's default)."""
 
-    #: model size in bits: two float64 parameters (§3.3 storage format).
-    MODEL_BITS = 128
-
     def fit(self, values: np.ndarray) -> LinearModel:
         v = np.asarray(values, dtype=np.float64)
         n = len(v)

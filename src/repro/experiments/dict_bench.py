@@ -22,10 +22,12 @@ import numpy as np
 
 from ..baselines.for_codec import FORCodec
 from ..core.format import _PART_HDR
-from ..core.leco import LeCoFix
+from ..core.leco import LeCoVar
+from ..rocksdb_sim.db import IO_LATENCY_S
 
 PAGE = 4096
-IO_LATENCY_S = 100e-6  # one 4KB NVMe random read
+#: FOR's frame length for the paged dictionary
+_FOR_FRAME = 1024
 
 
 def medicare_like(n_unique: int, seed: int = 7) -> np.ndarray:
@@ -50,7 +52,7 @@ class DictResult:
 class _PagedDict:
     """Code → value access through a paged, LRU-buffered dictionary."""
 
-    def __init__(self, method: str, values: np.ndarray, partition_len: int = 1024):
+    def __init__(self, method: str, values: np.ndarray):
         self.method = method
         self.values = values
         if method == "Raw":
@@ -60,9 +62,7 @@ class _PagedDict:
             # LeCo uses the variable-length Partitioner: the near-arithmetic
             # runs between jumps become near-zero-width partitions, the
             # mechanism behind the paper's extreme dictionary ratios (§4.4).
-            from ..core.leco import LeCoVar
-
-            codec = FORCodec(partition_len) if method == "FOR" else LeCoVar(tau=0.05)
+            codec = FORCodec(_FOR_FRAME) if method == "FOR" else LeCoVar(tau=0.05)
             self.enc = codec.encode(values, dtype_bits=64)
             self.codec = codec
             self.nbytes = self.enc.nbytes()
@@ -91,7 +91,6 @@ def run_dict_bench(
     n_probe: int = 400_000,
     selectivity: float = 0.01,
     budgets_mb: tuple[float, ...] = (1, 2, 4, 8, 16),
-    hash_hit: float = 0.5,
     seed: int = 0,
 ) -> list[DictResult]:
     g = np.random.default_rng(seed)

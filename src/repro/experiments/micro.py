@@ -50,7 +50,6 @@ def run_micro(
     datasets: list[str] | None = None,
     schemes: list[str] | None = None,
     n_access: int = 2_000,
-    repeats: int = 1,
     seed: int = 0,
 ) -> list[MicroRow]:
     """Run the full microbenchmark; returns one row per (data set, scheme)."""
@@ -66,12 +65,9 @@ def run_micro(
             if not applicable(scheme, ds):
                 continue
             codec = registry()[scheme]
-            enc, t_comp = None, 0.0
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                enc = codec.encode(values, dtype_bits=dtype_bits)
-                t_comp += time.perf_counter() - t0
-            t_comp /= repeats
+            t0 = time.perf_counter()
+            enc = codec.encode(values, dtype_bits=dtype_bits)
+            t_comp = time.perf_counter() - t0
 
             access_us: float | None = None
             if scheme != "rANS":

@@ -90,13 +90,17 @@ def run_fig14(
     return out
 
 
-def zipf_bitmap(n: int, selectivity: float, clusters: int = 10, seed: int = 1) -> np.ndarray:
-    """Fig 17 bitmaps: ``clusters`` set-bit runs with Zipf-like run sizes."""
+#: set-bit runs per Fig 17 bitmap
+_BITMAP_RUNS = 10
+
+
+def zipf_bitmap(n: int, selectivity: float, seed: int = 1) -> np.ndarray:
+    """Fig 17 bitmaps: ``_BITMAP_RUNS`` set-bit runs with Zipf-like run sizes."""
     g = np.random.default_rng(seed)
     k = max(1, int(n * selectivity))
-    w = 1.0 / np.arange(1, clusters + 1) ** 1.2
+    w = 1.0 / np.arange(1, _BITMAP_RUNS + 1) ** 1.2
     sizes = np.maximum(1, (k * w / w.sum()).astype(int))
-    starts = np.sort(g.integers(0, max(1, n - int(sizes.max())), clusters))
+    starts = np.sort(g.integers(0, max(1, n - int(sizes.max())), _BITMAP_RUNS))
     pos = np.unique(
         np.concatenate([np.arange(s, min(n, s + sz)) for s, sz in zip(starts, sizes)])
     )

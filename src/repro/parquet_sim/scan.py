@@ -28,7 +28,7 @@ from typing import Iterator
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 from ..core.format import EncodedSequence
@@ -93,25 +93,21 @@ def _decode_part(enc: EncodedSequence, k: int, a: int = 0, b: int | None = None)
     return _decode_partition(enc.partitions, k, a, b)
 
 
-def _meta_df(spark: SparkSession, metas: list[ChunkMeta], col: str) -> DataFrame:
-    rows = [(m.rg_id, m.file, m.n, m.vmin, m.vmax, m.compressed) for m in metas if m.column == col]
-    return spark.createDataFrame(
-        pd.DataFrame(rows, columns=["rg_id", "file", "n", "vmin", "vmax", "compressed"])
-    ).repartition(16, "rg_id")
-
-
 def _run(spark: SparkSession, metas: list[ChunkMeta], column: str, read_rg) -> dict[str, float]:
-    """Fan the row groups of ``column``'s chunks out over Spark tasks.
-    ``read_rg(rg_id)`` returns a row group's output values and cost (see
-    :func:`_read`).  The checksum is the values' sum mod 2^62; it and the
-    counts are summed as Python ints, so they stay exact at any size."""
+    """Fan the row groups of ``column``'s chunks out over the session's
+    default parallelism: Spark ships only row indexes, each task maps its
+    indexes to row-group ids.  ``read_rg(rg_id)`` returns a row group's
+    output values and cost (see :func:`_read`).  The checksum is the values'
+    sum mod 2^62; it and the counts are summed as Python ints, so they stay
+    exact at any size."""
+    rg_ids = [m.rg_id for m in metas if m.column == column]
 
     def task(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         cost = np.zeros(4)
         rows_out = checksum = 0
         for b in batches:
-            for rg in b.rg_id.tolist():
-                vals, c = read_rg(rg)
+            for j in b.id.tolist():
+                vals, c = read_rg(rg_ids[j])
                 cost += c
                 rows_out += len(vals)
                 checksum += int(vals.sum())  # wraps mod 2^64, so exact mod 2^62
@@ -120,7 +116,8 @@ def _run(spark: SparkSession, metas: list[ChunkMeta], column: str, read_rg) -> d
             columns=[f.name for f in _STATS_SCHEMA.fields],
         )
 
-    agg = _meta_df(spark, metas, column).mapInPandas(task, schema=_STATS_SCHEMA).toPandas()
+    parts = spark.range(len(rg_ids), numPartitions=spark.sparkContext.defaultParallelism)
+    agg = parts.mapInPandas(task, schema=_STATS_SCHEMA).toPandas()
     out = {c: sum(agg[c].tolist()) for c in agg.columns}
     out["checksum"] %= 1 << 62
     out["total_s"] = out["io_s"] + out["decompress_s"] + out["scan_s"]

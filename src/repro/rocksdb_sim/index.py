@@ -121,20 +121,21 @@ class LeCoIndex:
     def __init__(self, entries: list[IndexEntry], partition_len: int = 64):
         self.n = len(entries)
         self._skc = StringLeCo(partition_len=partition_len, pow2_base=True)
-        self._keys = self._skc.encode([e.key.decode("latin1") for e in entries])
+        # the string codec refuses empty input; an empty index stores no keys
+        self._keys = self._skc.encode([e.key.decode("latin1") for e in entries]) if entries else None
+        end = entries[-1].offset + entries[-1].size if entries else 0
         self._ic = LeCoFix(partition_len)
-        self._offs = self._ic.encode(
-            np.asarray([e.offset for e in entries] + [entries[-1].offset + entries[-1].size]),
-            dtype_bits=64,
-        )
+        self._offs = self._ic.encode(np.asarray([e.offset for e in entries] + [end]), dtype_bits=64)
         # Derived hot metadata (recomputable from the compressed form, so it
         # does not count toward nbytes — the paper's "model often cached"):
         self._part_firsts = [e.key for e in entries[::partition_len]]
 
     def nbytes(self) -> int:
-        return self._keys.nbytes() + self._offs.nbytes()
+        return (self._keys.nbytes() if self.n else 0) + self._offs.nbytes()
 
     def seek(self, key: bytes) -> tuple[int, int] | None:
+        if not self.n:
+            return None
         # 1) binary search over partitions by their first key (cached)
         pk = max(0, bisect.bisect_left(self._part_firsts, key) - 1)
         part = self._keys.partitions[pk]

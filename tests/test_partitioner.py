@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.delta_codec import _delta_width
+from repro.baselines.delta_codec import _delta_fit, _delta_width
 from repro.core.bitpack import bits_needed
 from repro.core.leco import _linear_width
 from repro.core.partitioner import (
@@ -43,19 +43,19 @@ def _starts_valid(starts, n):
 def test_var_partitions_valid(tau):
     g = np.random.default_rng(3)
     v = np.cumsum(g.integers(0, 50, 5000)).astype(np.int64)
-    starts = var_partitions(v, tau=tau, model_bits=128, exact_width=_linear_width)
+    starts = var_partitions(v, tau=tau, exact_width=_linear_width)
     _starts_valid(starts, len(v))
 
 
 def test_var_partitions_tiny_input():
-    starts = var_partitions(np.array([1, 2, 3]), tau=0.1, model_bits=128, exact_width=_linear_width)
+    starts = var_partitions(np.array([1, 2, 3]), tau=0.1, exact_width=_linear_width)
     assert list(starts) == [0]
 
 
 def test_var_partitions_detects_regime_change():
     """Two clean linear regimes with different slopes should be split."""
     v = np.concatenate([7 * np.arange(500), 100000 - 90 * np.arange(500)]).astype(np.int64)
-    starts = var_partitions(v, tau=0.1, model_bits=128, exact_width=_linear_width)
+    starts = var_partitions(v, tau=0.1, exact_width=_linear_width)
     assert len(starts) >= 2
     # some boundary near the regime switch at 500
     assert any(abs(int(s) - 500) <= MIN_PARTITION * 2 for s in starts)
@@ -64,7 +64,7 @@ def test_var_partitions_detects_regime_change():
 def test_var_partitions_merges_uniform_data():
     """One clean line should end as very few partitions."""
     v = (11 * np.arange(4000)).astype(np.int64)
-    starts = var_partitions(v, tau=0.1, model_bits=128, exact_width=_linear_width)
+    starts = var_partitions(v, tau=0.1, exact_width=_linear_width)
     assert len(starts) <= 4
 
 
@@ -79,10 +79,10 @@ def test_greedy_within_envelope_of_dp(seed):
     where header granularity dominates)."""
     g = np.random.default_rng(seed)
     v = np.cumsum(g.integers(0, 2 ** int(g.integers(1, 8)), 250)).astype(np.int64)
-    starts = var_partitions(v, tau=0.05, model_bits=128, exact_width=_linear_width)
+    starts = var_partitions(v, tau=0.05, exact_width=_linear_width)
     bounds = list(starts) + [len(v)]
     greedy = sum(_enc_bits(v[bounds[i] : bounds[i + 1]]) for i in range(len(starts)))
-    opt_starts = dp_optimal_partitions(v, _enc_bits, min_len=1)
+    opt_starts = dp_optimal_partitions(v, _enc_bits)
     ob = list(opt_starts) + [len(v)]
     optimal = sum(_enc_bits(v[ob[i] : ob[i + 1]]) for i in range(len(opt_starts)))
     assert greedy <= optimal * 1.15 + 256
@@ -91,7 +91,7 @@ def test_greedy_within_envelope_of_dp(seed):
 def test_dp_is_no_worse_than_single_partition():
     g = np.random.default_rng(9)
     v = np.cumsum(g.integers(0, 100, 200)).astype(np.int64)
-    opt = dp_optimal_partitions(v, _enc_bits, min_len=1)
+    opt = dp_optimal_partitions(v, _enc_bits)
     ob = list(opt) + [len(v)]
     total = sum(_enc_bits(v[ob[i] : ob[i + 1]]) for i in range(len(opt)))
     assert total <= _enc_bits(v)
@@ -158,6 +158,24 @@ def test_delta_width_metric():
     assert _delta_width(np.array([10, 9])) == 0
     # mixed diffs: bias −1, spread 2−(−1)=3 → 2 bits
     assert _delta_width(np.array([10, 9, 11])) == 2
+    # a bias ≤ −2^53 is stored as wrapping differences at width 64
+    assert _delta_width(np.array([0, -(2**53), 7])) == 64
+
+
+_STEPS = st.one_of(
+    st.integers(-8, 8),
+    st.integers(-(2**53) - 2, -(2**53) + 2),  # where θ1 stops holding the bias exactly
+    st.integers(-(2**63), 2**63 - 1),
+)
+
+
+@given(first=st.integers(-(2**63), 2**63 - 1), steps=st.lists(_STEPS, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_delta_width_is_the_stored_width(first, steps):
+    """The Partitioner's scalar width is the one ``_delta_fit`` stores the
+    partition at, wide difference biases included."""
+    r = np.cumsum(np.array([first] + steps, dtype=np.int64))  # wraps, so np.diff(r) == steps
+    assert _delta_width(r) == _delta_fit(r[None])[3][0]
 
 
 # --- differential tests of the vectorized split phase ----------------------
@@ -287,7 +305,7 @@ def test_split_matches_scalar_loop(values, tau):
 )
 @settings(max_examples=150, deadline=None)
 def test_var_partitions_matches_scalar_oracle(values, tau, width):
-    got = var_partitions(values, tau=tau, model_bits=128, exact_width=width)
+    got = var_partitions(values, tau=tau, exact_width=width)
     want = _oracle_var_partitions(values, tau=tau, model_bits=128, exact_width=width)
     assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
@@ -297,7 +315,7 @@ def test_var_partitions_matches_scalar_oracle_on_datasets():
     for name, gen in INTEGER_DATASETS.items():
         v = gen(20_000)[0]
         for width in (_linear_width, _delta_width):
-            got = var_partitions(v, tau=0.1, model_bits=128, exact_width=width)
+            got = var_partitions(v, tau=0.1, exact_width=width)
             want = _oracle_var_partitions(v, tau=0.1, model_bits=128, exact_width=width)
             assert got.tolist() == want.tolist(), (name, width.__name__)
 
@@ -321,7 +339,7 @@ def test_var_partitions_fits_each_range_once(name, exact_width):
     Partitioner fitted."""
     v = np.ascontiguousarray(INTEGER_DATASETS[name](20_000)[0], dtype=np.int64)
     fitted, old = [], []
-    var_partitions(v, tau=0.1, model_bits=128, exact_width=_counting(exact_width, v, fitted))
+    var_partitions(v, tau=0.1, exact_width=_counting(exact_width, v, fitted))
     _oracle_var_partitions(v, tau=0.1, model_bits=128, exact_width=_counting(exact_width, v, old))
     assert len(fitted) == len(set(fitted))
     assert set(fitted) == set(old)

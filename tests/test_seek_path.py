@@ -8,7 +8,7 @@ and the raw data-block read against a scan of the entries.
 import os
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.string_codec import StringLeCo
@@ -58,6 +58,7 @@ def key_sets(draw):
 
 
 @given(ks=key_sets(), partition_len=st.sampled_from([4, 16, 64]))
+@example(ks=([], [b"", b"a", b"\xff" * 12]), partition_len=4)  # the empty key set
 @settings(max_examples=300, deadline=None)
 def test_leco_seek_equals_full_key_index(ks, partition_len):
     keys, queries = ks
