@@ -40,4 +40,5 @@ class FORCodec:
         return decode_table(enc)
 
     def access(self, enc: EncodedSequence, i: int) -> int:
-        return _value_at(enc.partitions, *enc.partition_of(i))
+        k, off = enc.partition_of(i)
+        return _value_at(enc.partitions, k, off)

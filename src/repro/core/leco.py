@@ -286,7 +286,8 @@ class _LeCoBase:
         return decode_table(enc)
 
     def access(self, enc: EncodedSequence, i: int) -> int:
-        return _value_at(enc.partitions, *enc.partition_of(i))
+        k, off = enc.partition_of(i)
+        return _value_at(enc.partitions, k, off)
 
     def decode_range(self, enc: EncodedSequence, start: int, stop: int) -> np.ndarray:
         """Decode global positions ``[start, stop)`` touching only the needed partitions."""
