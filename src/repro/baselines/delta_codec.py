@@ -66,11 +66,20 @@ def _decode_partition(t: PartitionTable, k: int, upto: int | None = None) -> np.
     return np.concatenate(([v0], v0 + np.cumsum(d)))
 
 
+def _decode_rows(t: PartitionTable, stored: np.ndarray) -> np.ndarray:
+    """Partitions ``0 .. g−1`` from their ``(g, L − 1)`` stored differences:
+    :func:`_decode_partition`'s prefix sum, row-wise."""
+    g = len(stored)
+    v0 = t.bias[:g, None]
+    d = stored + t.theta1[:g, None].astype(np.int64)
+    return np.concatenate([v0, v0 + np.cumsum(d, axis=1)], axis=1)
+
+
 class _DeltaBase:
     supports_random_access = False  # access is O(partition prefix)
 
     def decode(self, enc: EncodedSequence) -> np.ndarray:
-        return decode_table(enc, _decode_partition)
+        return decode_table(enc, _decode_partition, _decode_rows)
 
     def access(self, enc: EncodedSequence, i: int) -> int:
         k, off = enc.partition_of(i)

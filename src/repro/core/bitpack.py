@@ -9,9 +9,9 @@ fixed-width layout the paper's θ0-tweak approximates (see DESIGN.md §2).
 Two families of helpers:
 
 * numpy path (widths 0..64): ``pack_rows`` packs many equal-length rows
-  (one per partition) in a few vectorized calls per distinct width;
-  ``pack``/``unpack`` handle one array and ``extract`` reads one value in
-  O(1).
+  (one per partition) in a few vectorized calls per distinct width, and
+  ``unpack_rows`` is its inverse; ``pack``/``unpack`` handle one array and
+  ``extract`` reads one value in O(1).
 * big-int path (arbitrary widths, for the string extension §3.4 where
   mapped integers exceed 64 bits): pure-Python over ``int``.
 """
@@ -24,6 +24,7 @@ __all__ = [
     "bits_needed_vec",
     "packed_size",
     "pack_rows",
+    "unpack_rows",
     "pack",
     "unpack",
     "extract",
@@ -48,9 +49,9 @@ _POW2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
 #: bit weights, most significant first: a ``width``-bit code's are the last ``width``
 _WEIGHTS = _POW2[::-1].copy()
 
-#: values per ``pack_rows`` step; bounds its (values × 64)-byte bit matrix
-#: to 4 MiB.  A multiple of 8, so a row split at a block edge stays
-#: byte-aligned.
+#: values per ``pack_rows``/``unpack_rows`` step; bounds a step's bit
+#: matrix (a byte per bit, at most 64 per value) to 4 MiB.  A multiple of
+#: 8, so a row split at a block edge stays byte-aligned.
 _BLOCK_VALUES = 1 << 16
 
 
@@ -85,6 +86,13 @@ def _pack_matrix(be: np.ndarray, width: int) -> np.ndarray:
     g, s = be.shape
     bits = np.unpackbits(be.view(np.uint8), axis=1)
     return np.packbits(bits.reshape(g, s, 64)[:, :, 64 - width :].reshape(g, s * width), axis=1)
+
+
+def _from_bits(bits: np.ndarray, width: int) -> np.ndarray:
+    """The ``width``-bit codes laid back to back in the bit array ``bits``
+    (0/1 bytes, most significant first) as uint64: each code's bits dotted
+    with the last ``width`` weights of ``_WEIGHTS``."""
+    return bits.reshape(-1, width).astype(np.uint64) @ _WEIGHTS[64 - width :]
 
 
 def pack_rows(rows: np.ndarray, widths: np.ndarray) -> bytes:
@@ -127,6 +135,41 @@ def pack_rows(rows: np.ndarray, widths: np.ndarray) -> bytes:
     return out.tobytes()
 
 
+def unpack_rows(buf: bytes, offsets: np.ndarray, count: int, widths: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`pack_rows`: the ``(g, count)`` uint64 block whose
+    row ``k`` holds the ``count`` values packed at ``widths[k]`` bits from
+    byte ``offsets[k]`` of ``buf``.
+
+    Row ``k`` equals ``unpack(buf, widths[k], count, offsets[k] * 8)``.  All
+    rows of one width are unpacked together, in blocks of at most
+    ``_BLOCK_VALUES`` values.
+    """
+    off = np.asarray(offsets, dtype=np.int64).reshape(-1)
+    w_all = np.asarray(widths, dtype=np.int64).reshape(-1)
+    if len(off) != len(w_all):
+        raise ValueError(f"{len(off)} offsets but {len(w_all)} widths")
+    if len(w_all) and not (0 <= w_all.min() and w_all.max() <= 64):
+        raise ValueError(f"width must be in [0, 64], got {w_all.min()}..{w_all.max()}")
+    out = np.zeros((len(w_all), count), dtype=np.uint64)
+    if count == 0:
+        return out
+    raw = np.frombuffer(buf, dtype=np.uint8)
+    rows_per_block = max(1, _BLOCK_VALUES // count)
+    seg = min(count, _BLOCK_VALUES)
+    for w in np.unique(w_all).tolist():
+        if w == 0:
+            continue
+        ks = np.flatnonzero(w_all == w)
+        for r in range(0, len(ks), rows_per_block):
+            kb = ks[r : r + rows_per_block]
+            for c in range(0, count, seg):
+                s = min(seg, count - c)
+                src = off[kb, None] + c * w // 8 + np.arange(packed_size(s, w))
+                bits = np.unpackbits(raw[src], axis=1)[:, : s * w]
+                out[kb, c : c + s] = _from_bits(bits, w).reshape(len(kb), s)
+    return out
+
+
 def pack(values: np.ndarray, width: int) -> bytes:
     """Pack unsigned ``values`` at ``width`` bits each, MSB-first.
 
@@ -155,8 +198,7 @@ def unpack(buf: bytes, width: int, n: int, bit: int = 0) -> np.ndarray:
     first, skip = divmod(bit, 8)
     end = skip + n * width
     raw = np.frombuffer(buf, dtype=np.uint8, count=(end + 7) // 8, offset=first)
-    bits = np.unpackbits(raw)[skip:end]
-    return bits.reshape(n, width).astype(np.uint64) @ _WEIGHTS[64 - width :]
+    return _from_bits(np.unpackbits(raw)[skip:end], width)
 
 
 def extract(buf: bytes, width: int, idx: int, offset: int = 0) -> int:

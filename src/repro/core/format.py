@@ -109,7 +109,7 @@ class PartitionTable:
         return b"".join(buf[a : a + m] for a, m in zip(self.payload_off.tolist(), lens.tolist()))
 
 
-def _payload_counts(scheme: str, lens: np.ndarray) -> np.ndarray:
+def payload_counts(scheme: str, lens: np.ndarray) -> np.ndarray:
     """Values packed per partition: Delta packs the ``n − 1`` differences."""
     return lens - 1 if scheme.startswith("Delta") else lens
 
@@ -121,7 +121,7 @@ def fixed_size(scheme: str, n: int, L: int, widths: np.ndarray) -> int:
     ``fixed_len`` and each partition's 4-byte ``payload_len``."""
     lens = np.full(len(widths), L)
     lens[-1:] = n - L * (len(widths) - 1)  # the tail
-    return PARTITION_HEADER_BYTES * len(lens) + int(packed_size(_payload_counts(scheme, lens), widths).sum())
+    return PARTITION_HEADER_BYTES * len(lens) + int(packed_size(payload_counts(scheme, lens), widths).sum())
 
 
 @dataclass
@@ -250,7 +250,7 @@ class EncodedSequence:
             raise ValueError(f"delta width {width.max()} exceeds 64")
         if not (np.isfinite(hdr["theta0"]).all() and np.isfinite(hdr["theta1"]).all()):
             raise ValueError("non-finite model parameter")
-        if not np.array_equal(payload_len, packed_size(_payload_counts(scheme, lens), width.astype(np.int64))):
+        if not np.array_equal(payload_len, packed_size(payload_counts(scheme, lens), width.astype(np.int64))):
             raise ValueError("payload length does not match partition length and width")
         table = PartitionTable(
             hdr["theta0"].copy(), hdr["theta1"].copy(), hdr["bias"].copy(), width,

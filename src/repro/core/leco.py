@@ -21,8 +21,8 @@ import math
 
 import numpy as np
 
-from .bitpack import bits_needed_vec, extract, pack, pack_rows, packed_size, unpack
-from .format import EncodedSequence, PartitionTable, fixed_size
+from .bitpack import bits_needed_vec, extract, pack, pack_rows, packed_size, unpack, unpack_rows
+from .format import EncodedSequence, PartitionTable, fixed_size, payload_counts
 from .partitioner import fixed_partitions, fixed_rows, search_fixed_length, var_partitions, var_rows
 from .regressor import LinearRegressor, positions
 
@@ -269,14 +269,37 @@ def access_many(enc: EncodedSequence, positions) -> np.ndarray:
     return np.floor(t.theta0[k] + t.theta1[k] * i).astype(np.int64) + t.bias[k] + deltas
 
 
-def decode_table(enc: EncodedSequence, part=None) -> np.ndarray:
-    """Full decode of a Model+Delta sequence, partition by partition:
-    ``part(t, k)`` decodes partition ``k`` (LeCo's and FOR's
-    :func:`_decode_partition` when None; Delta passes its prefix sum)."""
-    t, part = enc.partitions, part or _decode_partition
-    if not len(t):
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate([part(t, k) for k in range(len(t))])
+def _decode_rows(t: PartitionTable, stored: np.ndarray) -> np.ndarray:
+    """Partitions ``0 .. g−1`` of a LeCo or FOR table from their ``(g, L)``
+    stored deltas (int64): the block form of :func:`_decode_partition`, with
+    the same inference ``floor(θ0 + θ1·i) + bias``, so the values are
+    bit-identical.  When every row is flat (θ1 = 0, as in FOR) a row adds
+    only ``floor(θ0) + bias``."""
+    g, L = stored.shape
+    theta0, theta1 = t.theta0[:g, None], t.theta1[:g, None]
+    pred = theta0
+    if theta1.any():
+        pred = theta1 * np.arange(L)
+        pred += theta0
+    return stored + (np.floor(pred).astype(np.int64) + t.bias[:g, None])
+
+
+def decode_table(enc: EncodedSequence, part=None, rows=None) -> np.ndarray:
+    """Full decode of a Model+Delta sequence over the blocks :func:`build_table`
+    packed: the full partitions of a fixed-length layout as one block, read
+    by one ``unpack_rows`` and finished by ``rows(t, stored)``; every other
+    partition (a short tail, each variable-length one) as a single row,
+    ``part(t, k)``.  LeCo's and FOR's :func:`_decode_rows` and
+    :func:`_decode_partition` when None; Delta passes its prefix sums."""
+    t, part, rows = enc.partitions, part or _decode_partition, rows or _decode_rows
+    m = enc.n // enc.fixed_len if enc.fixed_len else 0
+    out = []
+    if m:
+        count = payload_counts(enc.scheme, enc.fixed_len)
+        stored = unpack_rows(t.payload, t.payload_off[:m], count, t.width[:m]).view(np.int64)
+        out.append(rows(t, stored).reshape(-1))
+    out += [part(t, k) for k in range(m, len(t))]
+    return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
 
 
 class _LeCoBase:

@@ -24,14 +24,14 @@ __all__ = ["angle_partitions", "LeCoAngle"]
 def angle_partitions(values: np.ndarray, epsilon: float) -> np.ndarray:
     """One-pass greedy PLA segmentation with global error bound ``epsilon``.
 
-    Returns partition start indices.  Each segment admits a line through
-    ``(0, v[start])`` staying within ±ε of all its points (the classic
-    slope-cone feasibility test, O(n) overall).
+    Returns partition start indices, none for an empty input.  Each segment
+    admits a line through ``(0, v[start])`` staying within ±ε of all its
+    points (the classic slope-cone feasibility test, O(n) overall).
     """
     v = np.asarray(values, dtype=np.float64)
     n = len(v)
     if n == 0:
-        raise ValueError("empty input")
+        return np.zeros(0, dtype=np.uint32)
     starts = [0]
     lo, hi = -np.inf, np.inf
     anchor = 0
@@ -58,5 +58,5 @@ class LeCoAngle(_LeCoBase):
 
     def encode(self, values: np.ndarray, *, dtype_bits: int = 64) -> EncodedSequence:
         eps = float(2 ** (self.epsilon_bits - 1))
-        starts = angle_partitions(values, eps) if len(values) else np.zeros(0, dtype=np.uint32)
+        starts = angle_partitions(values, eps)
         return encode_var(self.name, values, dtype_bits, starts, _fit_linear)

@@ -97,9 +97,9 @@ def decode_column(enc_df: DataFrame, column: str = "v") -> DataFrame:
 
     def decode(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for b in batches:
-            for _, row in b.iterrows():
-                enc = EncodedSequence.from_bytes(bytes(row.blob))
-                values = get_codec(row.scheme).decode(enc)
+            for scheme, blob in zip(b.scheme, b.blob):
+                enc = EncodedSequence.from_bytes(bytes(blob))
+                values = get_codec(scheme).decode(enc)
                 yield pd.DataFrame({column: values})
 
     return enc_df.mapInPandas(decode, schema=StructType([StructField(column, LongType())]))
@@ -111,12 +111,12 @@ def filter_scan(enc_df: DataFrame, lo: int, hi: int, column: str = "v") -> DataF
 
     def scan(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for b in batches:
-            for _, row in b.iterrows():
-                if row.vmax < lo or row.vmin > hi:
+            for vmin, vmax, scheme, blob in zip(b.vmin, b.vmax, b.scheme, b.blob):
+                if vmax < lo or vmin > hi:
                     continue  # chunk skipped via zone map
-                enc = EncodedSequence.from_bytes(bytes(row.blob))
+                enc = EncodedSequence.from_bytes(bytes(blob))
                 if enc.scheme.startswith("Delta"):  # no value bounds in the headers
-                    values = get_codec(row.scheme).decode(enc)
+                    values = get_codec(scheme).decode(enc)
                     values = values[(values >= lo) & (values <= hi)]
                 else:
                     _, values = positions_in(enc, [lo], [hi])

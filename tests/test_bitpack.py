@@ -16,8 +16,11 @@ from repro.core.bitpack import (
     pack_bigints,
     pack_rows,
     unpack,
+    unpack_rows,
     unpack_bigints,
 )
+from repro.core.format import EncodedSequence
+from repro.core.leco import LeCoFix, _fit_linear
 
 
 @pytest.mark.parametrize(
@@ -167,3 +170,55 @@ def test_pack_rows_rejects_bad_input():
         pack_rows(np.array([[1, 1]], dtype=np.uint64), [65])
     with pytest.raises(ValueError):
         pack_rows(np.array([[1, 1]], dtype=np.uint64), [1, 1])
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_unpack_rows_inverts_pack_rows(data):
+    """``unpack_rows`` returns exactly what ``pack_rows`` packed, rows placed
+    anywhere in a buffer, for widths 0..64 (64 at full range), a single
+    row, counts not a multiple of 8 and rows split across blocks."""
+    m = data.draw(st.integers(1, 6))
+    count = data.draw(st.integers(1, 40))
+    widths = data.draw(st.lists(st.integers(0, 64), min_size=m, max_size=m))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    block = data.draw(st.sampled_from([8, 16, 64, bitpack._BLOCK_VALUES]))
+    g = np.random.default_rng(seed)
+    rows = g.integers(0, 2**64 - 1, (m, count), dtype=np.uint64, endpoint=True)
+    rows &= np.array([(1 << w) - 1 for w in widths], dtype=np.uint64)[:, None]
+    rows[:, 0] = [(1 << w) - 1 for w in widths]  # each row's top value
+    head = data.draw(st.binary(max_size=9))
+    buf = head + pack_rows(rows, widths) + data.draw(st.sampled_from([b"", b"\xff", bytes(9)]))
+    sizes = bitpack.packed_size(count, np.array(widths))
+    offsets = len(head) + np.cumsum(sizes) - sizes
+    # rows in any order: each is read from its own offset
+    order = g.permutation(m)
+    with mock.patch.object(bitpack, "_BLOCK_VALUES", block):
+        got = unpack_rows(buf, offsets[order], count, np.array(widths)[order])
+    assert got.dtype == np.uint64 and got.shape == (m, count)
+    assert np.array_equal(got, rows[order])
+    for k in range(m):
+        assert np.array_equal(got[k], unpack(buf, widths[order[k]], count, int(offsets[order[k]]) * 8))
+
+
+def test_unpack_rows_from_a_serialized_table():
+    """Offsets and widths read back from a blob give each full partition's
+    stored deltas, bit for bit what the encoder's fit stored."""
+    g = np.random.default_rng(11)
+    v = np.r_[g.integers(-(2**63), 2**63 - 1, 300, dtype=np.int64, endpoint=True), np.arange(77)]
+    L = 25
+    t = EncodedSequence.from_bytes(LeCoFix(L).encode(v).to_bytes()).partitions
+    m = len(v) // L
+    got = unpack_rows(t.payload, t.payload_off[:m], L, t.width[:m])
+    assert 64 in t.width[:m].tolist()
+    assert np.array_equal(got, _fit_linear(v[: m * L].reshape(m, L), L)[4].view(np.uint64))
+
+
+def test_unpack_rows_edges_and_bad_input():
+    assert unpack_rows(b"", [], 5, []).shape == (0, 5)
+    assert unpack_rows(b"\xff", [0, 0], 0, [3, 3]).shape == (2, 0)
+    assert np.array_equal(unpack_rows(b"", [0, 0], 4, [0, 0]), np.zeros((2, 4), dtype=np.uint64))
+    with pytest.raises(ValueError):
+        unpack_rows(b"\x00" * 8, [0], 1, [65])
+    with pytest.raises(ValueError):
+        unpack_rows(b"\x00" * 8, [0, 1], 1, [3])

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import delta_codec
 from repro.baselines.delta_codec import DeltaFix, DeltaVar
 from repro.baselines.for_codec import FORCodec
 from repro.core import leco
@@ -168,6 +169,32 @@ def int64_columns(draw):
 @settings(max_examples=300, deadline=None)
 def test_roundtrip_property(values, name):
     _check_lossless(CODECS[name], values)
+
+
+# -- full decode: one block of full partitions, then single rows ---------------
+
+@given(
+    values=st.one_of(
+        int64_columns(),
+        st.lists(st.integers(I64_MIN, I64_MAX), min_size=30, max_size=200),
+        st.lists(st.integers(-1000, 1000), max_size=200),
+    ),
+    codec=st.sampled_from([FORCodec, LeCoFix, DeltaFix]),
+    L=st.integers(1, 40),
+)
+@settings(max_examples=300, deadline=None)
+def test_decode_table_equals_per_partition_decode(values, codec, L):
+    """Decoding the full partitions as one block gives exactly the
+    concatenated per-partition decodes, for blobs read back from bytes: a
+    tail shorter than ``L``, ``n < L`` and ``n == 0`` included."""
+    v = np.asarray(values, dtype=np.int64)
+    enc = EncodedSequence.from_bytes(codec(L).encode(v).to_bytes())
+    part = delta_codec._decode_partition if codec is DeltaFix else leco._decode_partition
+    parts = [part(enc.partitions, k) for k in range(len(enc.partitions))]
+    want = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    got = codec().decode(enc)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want) and np.array_equal(got, v)
 
 
 # -- the size model the fixed-length search minimizes -------------------------

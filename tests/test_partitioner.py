@@ -16,7 +16,8 @@ from repro.core.partitioner import (
     var_partitions,
 )
 from repro.datasets import INTEGER_DATASETS
-from repro.core.pla import angle_partitions
+from repro.core.format import EncodedSequence
+from repro.core.pla import LeCoAngle, angle_partitions
 from repro.core.regressor import LinearRegressor
 
 
@@ -146,9 +147,13 @@ def test_angle_partitions_single_segment_for_line():
     assert len(angle_partitions(v, 8.0)) == 1
 
 
-def test_angle_partitions_empty_raises():
-    with pytest.raises(ValueError):
-        angle_partitions(np.array([]), 8.0)
+def test_angle_partitions_empty_gives_no_starts():
+    starts = angle_partitions(np.array([]), 8.0)
+    assert starts.dtype == np.uint32 and len(starts) == 0
+    codec = LeCoAngle()
+    enc = EncodedSequence.from_bytes(codec.encode(np.array([], dtype=np.int64)).to_bytes())
+    assert enc.n == 0 and len(enc.partitions) == 0
+    assert codec.decode(enc).dtype == np.int64 and len(codec.decode(enc)) == 0
 
 
 def test_delta_width_metric():
