@@ -8,10 +8,11 @@ fixed-width layout the paper's θ0-tweak approximates (see DESIGN.md §2).
 
 Two families of helpers:
 
-* numpy path (widths 0..64): ``pack_rows`` packs many equal-length rows
-  (one per partition) in a few vectorized calls per distinct width, and
-  ``unpack_rows`` is its inverse; ``pack``/``unpack`` handle one array and
-  ``extract`` reads one value in O(1).
+* numpy path (widths 0..64): ``pack_rows`` packs ragged rows (one per
+  partition) in groups of eight values, a few vectorized calls per
+  distinct width, and ``unpack_rows`` reads equal-length rows back;
+  ``pack``/``unpack`` handle one array and ``extract`` reads one value in
+  O(1).
 * big-int path (arbitrary widths, for the string extension §3.4 where
   mapped integers exceed 64 bits): pure-Python over ``int``.
 """
@@ -49,9 +50,9 @@ _POW2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
 #: bit weights, most significant first: a ``width``-bit code's are the last ``width``
 _WEIGHTS = _POW2[::-1].copy()
 
-#: values per ``pack_rows``/``unpack_rows`` step; bounds a step's bit
-#: matrix (a byte per bit, at most 64 per value) to 4 MiB.  A multiple of
-#: 8, so a row split at a block edge stays byte-aligned.
+#: values per ``unpack_rows`` step; bounds a step's bit matrix (a byte per
+#: bit, at most 64 per value) to 4 MiB.  A multiple of 8, so a row split at
+#: a block edge stays byte-aligned.
 _BLOCK_VALUES = 1 << 16
 
 
@@ -78,16 +79,6 @@ def _as_u64(values) -> np.ndarray:
     return v if v.dtype == np.uint64 else v.astype(np.int64, copy=False).view(np.uint64)
 
 
-def _pack_matrix(be: np.ndarray, width: int) -> np.ndarray:
-    """Pack each row of the big-endian ``>u8`` matrix ``be`` at ``width``
-    bits: the bit matrix is ``np.unpackbits`` of the value bytes, keeping
-    each value's low ``width`` bits, and ``np.packbits`` turns it back into
-    bytes, each row padded to whole bytes."""
-    g, s = be.shape
-    bits = np.unpackbits(be.view(np.uint8), axis=1)
-    return np.packbits(bits.reshape(g, s, 64)[:, :, 64 - width :].reshape(g, s * width), axis=1)
-
-
 def _from_bits(bits: np.ndarray, width: int) -> np.ndarray:
     """The ``width``-bit codes laid back to back in the bit array ``bits``
     (0/1 bytes, most significant first) as uint64: each code's bits dotted
@@ -95,50 +86,95 @@ def _from_bits(bits: np.ndarray, width: int) -> np.ndarray:
     return bits.reshape(-1, width).astype(np.uint64) @ _WEIGHTS[64 - width :]
 
 
-def pack_rows(rows: np.ndarray, widths: np.ndarray) -> bytes:
-    """Pack row ``k`` of the ``(m, L)`` unsigned matrix ``rows`` at
-    ``widths[k]`` bits, MSB-first, each row padded to whole bytes.
+def _lanes(values: np.ndarray, counts: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """The ``(Σ groups, 8)`` lane matrix of ragged rows: row ``k`` takes
+    ``groups[k]`` consecutive groups of eight, its ``counts[k]`` values
+    followed by zeros."""
+    if not (counts % 8).any():
+        return values.reshape(-1, 8)
+    gstart = np.cumsum(groups) - groups
+    vstart = np.cumsum(counts) - counts
+    lanes = np.zeros(int(groups.sum()) * 8, dtype=np.uint64)
+    lanes[np.repeat(gstart * 8 - vstart, counts) + np.arange(len(values))] = values
+    return lanes.reshape(-1, 8)
+
+
+def _pack_lanes(lanes: np.ndarray, width: int) -> np.ndarray:
+    """The ``(g, width)`` bytes of ``g`` groups of eight ``width``-bit values:
+    lane ``j`` goes to bit ``j·width`` of its group's 64-bit words, MSB
+    first, with one shift, or two when it crosses into the next word; the
+    words are written big-endian and trimmed to ``width`` bytes."""
+    if width < 64 and len(lanes) and int(lanes.max()) >> width:
+        raise ValueError(f"value out of range for width={width}")
+    nw = (width + 7) // 8
+    # every word is first written by the lane that covers its top bit
+    words = np.empty((len(lanes), nw), dtype=np.uint64)
+    filled = 0
+    for j in range(8 if width else 0):
+        q, o = divmod(j * width, 64)
+        lane, end = lanes[:, j], o + width
+        if end > 64:
+            words[:, q] |= lane >> np.uint64(end - 64)
+            np.left_shift(lane, np.uint64(128 - end), out=words[:, q + 1])
+        elif q < filled:
+            words[:, q] |= lane << np.uint64(64 - end)
+        else:
+            np.left_shift(lane, np.uint64(64 - end), out=words[:, q])
+        filled = q + 1 + (end > 64)
+    out = words.astype(">u8").view(np.uint8)
+    return out if width == 8 * nw else np.ascontiguousarray(out[:, :width])
+
+
+def pack_rows(values: np.ndarray, counts, widths) -> bytes:
+    """Pack ragged rows: row ``k`` is the next ``counts[k]`` values of the
+    flat unsigned ``values``, packed at ``widths[k]`` bits MSB-first and
+    padded to whole bytes.
 
     Returns the rows' packed bytes concatenated in row order, so row ``k``
-    is byte-identical to ``pack(rows[k], widths[k])``.  All rows of one
-    width are packed together, in blocks of at most ``_BLOCK_VALUES``
-    values.  Signed input is read as its two's-complement uint64.
+    is byte-identical to ``pack(row_k, widths[k])``.  Each row is
+    zero-padded to whole groups of eight values, which fill exactly
+    ``width`` bytes; all groups of one width are packed together by
+    :func:`_pack_lanes` and written to their rows, which are then trimmed
+    to ``packed_size(count, width)`` bytes.  Signed input is read as its
+    two's-complement uint64.
     """
-    v = _as_u64(rows)
-    w_all = np.asarray(widths, dtype=np.int64).reshape(-1)
-    m, L = v.shape
-    if len(w_all) != m:
-        raise ValueError(f"{m} rows but {len(w_all)} widths")
-    if m and not (0 <= w_all.min() and w_all.max() <= 64):
-        raise ValueError(f"width must be in [0, 64], got {w_all.min()}..{w_all.max()}")
-    if L == 0:
-        return b""
-    high = v.max(axis=1) >> np.minimum(w_all, 63).astype(np.uint64)
-    if ((high != 0) & (w_all < 64)).any():
-        raise ValueError("value out of range for its row's width")
-    be = v.astype(">u8")
-    sizes = packed_size(L, w_all)
-    out = np.zeros(int(sizes.sum()), dtype=np.uint8)
-    starts = np.cumsum(sizes) - sizes
-    rows_per_block = max(1, _BLOCK_VALUES // L)
-    seg = min(L, _BLOCK_VALUES)
-    for w in np.unique(w_all).tolist():
-        if w == 0:
-            continue
-        ks = np.flatnonzero(w_all == w)
-        for r in range(0, len(ks), rows_per_block):
-            kb = ks[r : r + rows_per_block]
-            for c in range(0, L, seg):
-                packed = _pack_matrix(be[kb, c : c + seg], w)
-                dst = starts[kb] + c * w // 8
-                out[dst[:, None] + np.arange(packed.shape[1])] = packed
-    return out.tobytes()
+    v = _as_u64(values).reshape(-1)
+    n = np.asarray(counts, dtype=np.int64).reshape(-1)
+    w = np.asarray(widths, dtype=np.int64).reshape(-1)
+    if len(n) != len(w):
+        raise ValueError(f"{len(n)} counts but {len(w)} widths")
+    if len(n) and not (0 <= w.min() and w.max() <= 64):
+        raise ValueError(f"width must be in [0, 64], got {w.min()}..{w.max()}")
+    if (n < 0).any() or n.sum() != len(v):
+        raise ValueError(f"counts must be >= 0 and sum to the {len(v)} values")
+    groups = (n + 7) // 8
+    lanes = _lanes(v, n, groups)
+    # each row's padded bytes start on a group boundary, its groups back to back
+    padded = groups * w
+    out = np.empty(int(padded.sum()), dtype=np.uint8)
+    gw = np.repeat(w, groups)
+    pos = np.repeat(np.cumsum(padded) - padded - (np.cumsum(groups) - groups) * w, groups)
+    pos += np.arange(len(lanes)) * gw
+    for width in np.unique(w).tolist():
+        sel = np.flatnonzero(gw == width)
+        packed = _pack_lanes(np.take(lanes, sel, axis=0), width)
+        if width and len(sel):
+            # ``out`` seen as overlapping ``width``-byte items, one per byte offset
+            dst = np.ndarray((len(out) - width + 1,), dtype=f"V{width}", buffer=out, strides=(1,))
+            dst[pos[sel]] = packed.view(f"V{width}").reshape(-1)
+    sizes = packed_size(n, w)
+    trim = padded - sizes
+    if trim[:-1].any():  # drop the pad bytes of every row but the last
+        ends = np.cumsum(padded)[trim > 0]
+        t = trim[trim > 0]
+        out = np.delete(out, np.repeat(ends - np.cumsum(t), t) + np.arange(int(t.sum())))
+    return out[: int(sizes.sum())].tobytes()
 
 
 def unpack_rows(buf: bytes, offsets: np.ndarray, count: int, widths: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`pack_rows`: the ``(g, count)`` uint64 block whose
-    row ``k`` holds the ``count`` values packed at ``widths[k]`` bits from
-    byte ``offsets[k]`` of ``buf``.
+    """Reads back rows of one length that :func:`pack_rows` packed: the
+    ``(g, count)`` uint64 block whose row ``k`` holds the ``count`` values
+    packed at ``widths[k]`` bits from byte ``offsets[k]`` of ``buf``.
 
     Row ``k`` equals ``unpack(buf, widths[k], count, offsets[k] * 8)``.  All
     rows of one width are unpacked together, in blocks of at most
@@ -171,22 +207,13 @@ def unpack_rows(buf: bytes, offsets: np.ndarray, count: int, widths: np.ndarray)
 
 
 def pack(values: np.ndarray, width: int) -> bytes:
-    """Pack unsigned ``values`` at ``width`` bits each, MSB-first.
+    """Pack unsigned ``values`` at ``width`` bits each, MSB-first: the
+    one-row case of :func:`pack_rows`.
 
     The result is ``ceil(n * width / 8)`` bytes; trailing pad bits are 0.
     """
-    if width == 0:
-        return b""
-    if not 0 < width <= 64:
-        raise ValueError(f"width must be in [0, 64], got {width}")
-    v = _as_u64(values).reshape(1, -1)
-    if v.size and width < 64 and int(v.max()) >> width:
-        raise ValueError(f"value out of range for width={width}")
-    be = v.astype(">u8")
-    return b"".join(
-        _pack_matrix(be[:, c : c + _BLOCK_VALUES], width).tobytes()
-        for c in range(0, v.shape[1], _BLOCK_VALUES)
-    )
+    v = _as_u64(values).reshape(-1)
+    return pack_rows(v, [len(v)], [width])
 
 
 def unpack(buf: bytes, width: int, n: int, bit: int = 0) -> np.ndarray:

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .bitpack import bits_needed_vec, extract, pack, pack_rows, packed_size, unpack, unpack_rows
+from .bitpack import bits_needed_vec, extract, pack_rows, packed_size, unpack, unpack_rows
 from .format import EncodedSequence, PartitionTable, fixed_size, payload_counts
 from .partitioner import fixed_partitions, fixed_rows, search_fixed_length, var_partitions, var_rows
 from .regressor import LinearRegressor, positions
@@ -135,9 +135,8 @@ def build_table(blocks: list[np.ndarray], fit, L: int | None = None) -> Partitio
     ``fit(rows, L)`` gives each row's ``(θ0, θ1, bias, width, stored)``,
     where ``stored`` is what gets packed unsigned at ``width`` bits: ``n``
     deltas, or Delta's ``n − 1`` differences.  ``L`` is the fixed partition
-    length, None for a variable-length layout.  A block of several rows is
-    packed by ``pack_rows``, a single row by one ``pack`` call, cheaper for
-    one row."""
+    length, None for a variable-length layout.  Every partition is packed
+    by one ragged ``pack_rows`` call."""
     fits = [fit(rows, L) for rows in blocks]
     theta0, theta1, bias, width = (
         np.concatenate([f[j] for f in fits]) if fits else np.empty(0, dtype=np.int64) for j in range(4)
@@ -145,7 +144,8 @@ def build_table(blocks: list[np.ndarray], fit, L: int | None = None) -> Partitio
     m = [len(rows) for rows in blocks]
     n = np.repeat([rows.shape[1] for rows in blocks], m)
     n_stored = np.repeat([f[4].shape[1] for f in fits], m)
-    payload = b"".join(pack(s[0], int(w[0])) if len(s) == 1 else pack_rows(s, w) for *_, w, s in fits)
+    stored = np.concatenate([f[4].reshape(-1) for f in fits]) if fits else np.empty(0, dtype=np.int64)
+    payload = pack_rows(stored, n_stored, width)
     return PartitionTable.build(theta0, theta1, bias, width, n, packed_size(n_stored, width), payload)
 
 

@@ -47,19 +47,37 @@ def encode_chunk(values: np.ndarray, encoding: str, partition_len: int = 10_000)
     return bytes([TAG_SEQ]) + codec.encode(v, dtype_bits=64).to_bytes()
 
 
+def _header(fmt: str, blob: bytes) -> tuple:
+    """The fixed header ``fmt`` that follows the tag byte."""
+    if len(blob) < 1 + struct.calcsize(fmt):
+        raise ValueError(f"chunk of {len(blob)} bytes is shorter than its header")
+    return struct.unpack_from(fmt, blob, 1)
+
+
 def parse_chunk(blob: bytes):
-    """Return ``("plain"|"dict", np.ndarray)`` or ``("seq", EncodedSequence)``."""
+    """Return ``("plain"|"dict", np.ndarray)`` or ``("seq", EncodedSequence)``.
+
+    Raises ``ValueError`` on a blob no encoder writes: an empty or truncated
+    chunk, or a dictionary code beyond the dictionary."""
+    if not blob:
+        raise ValueError("empty chunk")
     tag = blob[0]
     if tag == TAG_PLAIN:
-        (n,) = struct.unpack_from("<q", blob, 1)
+        (n,) = _header("<q", blob)
+        if n < 0:
+            raise ValueError(f"negative value count {n}")
         # .copy(): a real plain decoder materializes values out of the page
         # buffer; zero-copy views would understate Default's decode cost.
         return "plain", np.frombuffer(blob, dtype=np.int64, count=n, offset=9).copy()
     if tag == TAG_DICT:
-        n, ndv, width = struct.unpack_from("<qiB", blob, 1)
+        n, ndv, width = _header("<qiB", blob)
+        if n < 0 or ndv < 0 or width > 64:
+            raise ValueError(f"bad dictionary header: n={n}, ndv={ndv}, width={width}")
         off = 1 + 13
         uniq = np.frombuffer(blob, dtype=np.int64, count=ndv, offset=off)
         codes = unpack(blob, width, n, (off + 8 * ndv) * 8)
+        if n and int(codes.max()) >= ndv:
+            raise ValueError(f"dictionary code {int(codes.max())} beyond the {ndv}-entry dictionary")
         return "dict", uniq[codes.astype(np.int64)]
     return "seq", EncodedSequence.from_bytes(blob[1:])
 

@@ -1,8 +1,8 @@
 """Spark-executed scans over the Parquet-like store (§5.1.1–§5.1.3).
 
-Row groups fan out across Spark executors via ``mapInPandas``; each task
-reads its chunk files, applies the query with encoding-appropriate pruning
-and returns per-task timing stats:
+Row groups fan out across Spark executors as an RDD of row-group indexes;
+each task reads its chunk files, applies the query with
+encoding-appropriate pruning and returns per-task timing stats:
 
 * ``io_s`` — modeled I/O time: bytes read / ``io_gbps`` (the paper runs on
   a local NVMe; the OS page cache would hide real I/O here, so we charge a
@@ -27,9 +27,7 @@ import zlib
 from typing import Iterator
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 from ..core.format import EncodedSequence
 from ..core.leco import _decode_partition, decode_table, positions_in
@@ -37,16 +35,8 @@ from .encodings import gather_positions, parse_chunk
 from .format import ChunkMeta, read_footer
 
 _I64 = np.iinfo(np.int64)
-_STATS_SCHEMA = StructType(
-    [
-        StructField("rows_out", LongType()),
-        StructField("bytes_read", LongType()),
-        StructField("io_s", DoubleType()),
-        StructField("decompress_s", DoubleType()),
-        StructField("scan_s", DoubleType()),
-        StructField("checksum", LongType()),
-    ]
-)
+#: the per-task stats each scan sums over its tasks
+_STATS = ("rows_out", "bytes_read", "io_s", "decompress_s", "scan_s", "checksum")
 
 
 def _read(path: str, meta: ChunkMeta, io_gbps: float, fn):
@@ -95,30 +85,26 @@ def _decode_part(enc: EncodedSequence, k: int, a: int = 0, b: int | None = None)
 
 def _run(spark: SparkSession, metas: list[ChunkMeta], column: str, read_rg) -> dict[str, float]:
     """Fan the row groups of ``column``'s chunks out over the session's
-    default parallelism: Spark ships only row indexes, each task maps its
-    indexes to row-group ids.  ``read_rg(rg_id)`` returns a row group's
-    output values and cost (see :func:`_read`).  The checksum is the values'
-    sum mod 2^62; it and the counts are summed as Python ints, so they stay
-    exact at any size."""
+    default parallelism as an RDD of row indexes: each task maps its
+    indexes to row-group ids and returns one plain tuple of stats.
+    ``read_rg(rg_id)`` returns a row group's output values and cost (see
+    :func:`_read`).  The checksum is the values' sum mod 2^62; it and the
+    counts are summed as Python ints, so they stay exact at any size."""
     rg_ids = [m.rg_id for m in metas if m.column == column]
 
-    def task(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    def task(idx: Iterator[int]) -> Iterator[tuple]:
         cost = np.zeros(4)
         rows_out = checksum = 0
-        for b in batches:
-            for j in b.id.tolist():
-                vals, c = read_rg(rg_ids[j])
-                cost += c
-                rows_out += len(vals)
-                checksum += int(vals.sum())  # wraps mod 2^64, so exact mod 2^62
-        yield pd.DataFrame(
-            [[rows_out, int(cost[0]), *cost[1:].tolist(), checksum % (1 << 62)]],
-            columns=[f.name for f in _STATS_SCHEMA.fields],
-        )
+        for j in idx:
+            vals, c = read_rg(rg_ids[j])
+            cost += c
+            rows_out += len(vals)
+            checksum += int(vals.sum())  # wraps mod 2^64, so exact mod 2^62
+        yield rows_out, int(cost[0]), *cost[1:].tolist(), checksum % (1 << 62)
 
-    parts = spark.range(len(rg_ids), numPartitions=spark.sparkContext.defaultParallelism)
-    agg = parts.mapInPandas(task, schema=_STATS_SCHEMA).toPandas()
-    out = {c: sum(agg[c].tolist()) for c in agg.columns}
+    sc = spark.sparkContext
+    parts = sc.parallelize(range(len(rg_ids)), sc.defaultParallelism).mapPartitions(task).collect()
+    out = {name: sum(col) for name, col in zip(_STATS, zip(*parts))}
     out["checksum"] %= 1 << 62
     out["total_s"] = out["io_s"] + out["decompress_s"] + out["scan_s"]
     return out

@@ -147,29 +147,80 @@ def test_bits_needed_vec_exact(values):
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_pack_rows_matches_bigint_reference(data):
-    """Every row packs exactly like the pure-Python reference, for widths
-    0..64, L = 1, L not a multiple of 8, and rows split across blocks."""
+    """Every row of equal-length rows packs exactly like the pure-Python
+    reference, for widths 0..64, L = 1 and L not a multiple of 8."""
     m = data.draw(st.integers(1, 6))
     L = data.draw(st.integers(1, 40))
     widths = data.draw(st.lists(st.integers(0, 64), min_size=m, max_size=m))
     seed = data.draw(st.integers(0, 2**32 - 1))
-    block = data.draw(st.sampled_from([8, 16, 64, bitpack._BLOCK_VALUES]))
     g = np.random.default_rng(seed)
     rows = g.integers(0, 2**64 - 1, (m, L), dtype=np.uint64, endpoint=True)
     rows &= np.array([(1 << w) - 1 for w in widths], dtype=np.uint64)[:, None]
     want = b"".join(pack_bigints(r.tolist(), w) for r, w in zip(rows, widths))
-    with mock.patch.object(bitpack, "_BLOCK_VALUES", block):
-        assert pack_rows(rows, widths) == want
-        assert b"".join(pack(r, w) for r, w in zip(rows, widths)) == want
+    assert pack_rows(rows.reshape(-1), [L] * m, widths) == want
+    assert b"".join(pack(r, w) for r, w in zip(rows, widths)) == want
+
+
+def _matrix_pack(values: np.ndarray, width: int) -> bytes:
+    """The bit-matrix packer ``pack`` used before the lane kernel, kept as
+    the oracle: ``np.unpackbits`` of the big-endian value bytes, each
+    value's low ``width`` bits kept, ``np.packbits`` back to bytes."""
+    be = np.asarray(values, dtype=np.uint64).reshape(1, -1).astype(">u8")
+    bits = np.unpackbits(be.view(np.uint8), axis=1)
+    return np.packbits(bits.reshape(1, -1, 64)[:, :, 64 - width :].reshape(1, -1), axis=1).tobytes()
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_ragged_pack_rows_matches_matrix_packer(data):
+    """Ragged ``pack_rows`` equals the bit-matrix packer applied row by
+    row, for widths 0..64 with each row's top value, counts 0..40 (most
+    not a multiple of 8), rows in any width order and tables of one
+    width; ``unpack`` and ``unpack_rows`` read every row back."""
+    m = data.draw(st.integers(0, 8))
+    one_width = data.draw(st.booleans())
+    if one_width:
+        widths = [data.draw(st.integers(0, 64))] * m
+    else:
+        widths = data.draw(st.lists(st.integers(0, 64), min_size=m, max_size=m))
+    counts = data.draw(st.lists(st.integers(0, 40), min_size=m, max_size=m))
+    g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for n, w in zip(counts, widths):
+        r = g.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True) & np.uint64((1 << w) - 1)
+        if n:
+            r[g.integers(n)] = (1 << w) - 1  # the row's top value
+        rows.append(r)
+    values = np.concatenate(rows) if rows else np.empty(0, dtype=np.uint64)
+    buf = pack_rows(values, counts, widths)
+    assert buf == b"".join(_matrix_pack(r, w) for r, w in zip(rows, widths))
+    sizes = bitpack.packed_size(np.array(counts, dtype=np.int64), np.array(widths, dtype=np.int64))
+    offsets = np.cumsum(sizes) - sizes
+    assert len(buf) == int(sizes.sum())
+    for r, w, off in zip(rows, widths, offsets.tolist()):
+        assert np.array_equal(unpack(buf, w, len(r), off * 8), r)
+    # rows of one count come back from one block read
+    for n in set(counts):
+        ks = [k for k in range(m) if counts[k] == n]
+        got = unpack_rows(buf, offsets[ks], n, np.array(widths)[ks])
+        assert np.array_equal(got, np.array([rows[k] for k in ks], dtype=np.uint64).reshape(len(ks), n))
 
 
 def test_pack_rows_rejects_bad_input():
     with pytest.raises(ValueError):
-        pack_rows(np.array([[8, 1]], dtype=np.uint64), [3])
+        pack_rows(np.array([8, 1], dtype=np.uint64), [2], [3])
     with pytest.raises(ValueError):
-        pack_rows(np.array([[1, 1]], dtype=np.uint64), [65])
+        pack_rows(np.array([1, 1], dtype=np.uint64), [2], [65])
     with pytest.raises(ValueError):
-        pack_rows(np.array([[1, 1]], dtype=np.uint64), [1, 1])
+        pack_rows(np.array([1, 1], dtype=np.uint64), [2], [1, 1])
+    with pytest.raises(ValueError):  # a value out of range in a later row
+        pack_rows(np.array([1, 1, 1, 4], dtype=np.uint64), [1, 3], [1, 2])
+    with pytest.raises(ValueError):  # counts must cover the values exactly
+        pack_rows(np.array([1, 1, 1], dtype=np.uint64), [1, 1], [1, 1])
+    with pytest.raises(ValueError):
+        pack_rows(np.array([1, 1], dtype=np.uint64), [3, -1], [1, 1])
+    assert pack_rows(np.empty(0, dtype=np.uint64), [], []) == b""
+    assert pack_rows(np.empty(0, dtype=np.uint64), [0, 0], [5, 64]) == b""
 
 
 @given(st.data())
@@ -188,7 +239,7 @@ def test_unpack_rows_inverts_pack_rows(data):
     rows &= np.array([(1 << w) - 1 for w in widths], dtype=np.uint64)[:, None]
     rows[:, 0] = [(1 << w) - 1 for w in widths]  # each row's top value
     head = data.draw(st.binary(max_size=9))
-    buf = head + pack_rows(rows, widths) + data.draw(st.sampled_from([b"", b"\xff", bytes(9)]))
+    buf = head + pack_rows(rows.reshape(-1), [count] * m, widths) + data.draw(st.sampled_from([b"", b"\xff", bytes(9)]))
     sizes = bitpack.packed_size(count, np.array(widths))
     offsets = len(head) + np.cumsum(sizes) - sizes
     # rows in any order: each is read from its own offset

@@ -1,5 +1,6 @@
 """Parquet-like store tests (§5.1), incl. DuckDB-oracle query equivalence."""
 import os
+import struct
 import tempfile
 
 import numpy as np
@@ -7,7 +8,8 @@ import pandas as pd
 import pytest
 
 from repro.datasets import gen_ml
-from repro.parquet_sim.encodings import decode_chunk, encode_chunk, gather_positions
+from repro.core.bitpack import pack
+from repro.parquet_sim.encodings import TAG_DICT, decode_chunk, encode_chunk, gather_positions, parse_chunk
 from repro.parquet_sim.format import file_bytes, read_column, read_footer, write_file
 from repro.parquet_sim.scan import bitmap_select, filter_scan_mod
 
@@ -59,6 +61,28 @@ def test_dictionary_fallback_to_plain():
     assert encode_chunk(unique_heavy, "default")[0] == 0  # TAG_PLAIN
     low = g.choice(100, 5000).astype(np.int64)
     assert encode_chunk(low, "default")[0] == 1  # TAG_DICT
+
+
+def test_parse_chunk_rejects_malformed_blobs():
+    """An empty chunk, a plain or dict chunk cut anywhere, and a dict code
+    beyond the dictionary raise ``ValueError``, never ``IndexError`` or
+    ``struct.error``."""
+    g = np.random.default_rng(4)
+    plain = encode_chunk(g.integers(0, 2**50, 50), "default")
+    dict_blob = encode_chunk(g.choice([10, 20, 30], 50).astype(np.int64), "default")
+    assert (plain[0], dict_blob[0]) == (0, TAG_DICT)
+    with pytest.raises(ValueError):
+        parse_chunk(b"")
+    for blob in (plain, dict_blob):
+        for cut in range(1, len(blob)):
+            with pytest.raises(ValueError):
+                parse_chunk(blob[:cut])
+    # three entries, 2-bit codes: code 3 has no entry
+    head = bytes([TAG_DICT]) + struct.pack("<qiB", 4, 3, 2) + np.array([10, 20, 30]).tobytes()
+    with pytest.raises(ValueError):
+        parse_chunk(head + pack(np.array([0, 1, 2, 3], dtype=np.uint64), 2))
+    kind, v = parse_chunk(head + pack(np.array([0, 1, 2, 2], dtype=np.uint64), 2))
+    assert kind == "dict" and v.tolist() == [10, 20, 30, 30]
 
 
 def test_unknown_encoding_rejected():
