@@ -82,4 +82,7 @@ def spark() -> SparkSession:
         file=sys.stderr,
     )
     yield s
-    s.stop()
+    from pyspark import SparkContext
+
+    if SparkContext._gateway is not None:  # None: a test already shut the JVM down
+        s.stop()

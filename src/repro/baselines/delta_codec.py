@@ -30,7 +30,7 @@ def _delta_width(sub: np.ndarray) -> int:
     subtracted — that would be LeCo's job, not Delta's); a negative bias is
     applied only when the input is locally unsorted, standing in for the
     sign handling signed diffs would otherwise need.  A bias ≤ −2^53 prices
-    the width 64 that :func:`_delta_fit` stores such a partition at."""
+    the width 64 that :func:`_delta_bias` stores such a partition at."""
     if len(sub) < 2:
         return 0
     d = np.diff(np.asarray(sub, dtype=np.int64))
@@ -38,20 +38,50 @@ def _delta_width(sub: np.ndarray) -> int:
     return 64 if dbias <= _WIDE_BIAS else bits_needed(int(d.max()) - dbias)
 
 
-def _delta_fit(rows: np.ndarray, L: int | None = None):
-    """Delta's fit over equal-length partitions stacked as rows, at
-    :func:`_delta_width`'s width: the first value in the exact int64 bias
-    (a float θ0 would round it beyond 2^53), the per-step difference bias
-    in θ1, and the first differences less that bias stored.  A row whose
-    difference bias is ≤ −2^53, which θ1 cannot hold exactly, stores its
-    wrapping differences at width 64 with bias 0 instead; the decoder's
-    prefix sum wraps back to the exact values.  ``L`` plays no part."""
-    d = np.diff(rows, axis=1)
-    spread = d if d.shape[1] else np.zeros((len(rows), 1), dtype=np.int64)
-    dbias = np.minimum(0, spread.min(axis=1))
-    width = bits_needed_vec(spread.max(axis=1) - dbias)
+def _delta_bias(dmin: np.ndarray, dmax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Difference bias and width of partitions whose first differences span
+    ``[dmin, dmax]``, at :func:`_delta_width`'s rule.  Delta's fit keeps the
+    first value in the exact int64 bias (a float θ0 would round it beyond
+    2^53), the difference bias in θ1, and stores the differences less it.  A
+    partition whose difference bias is ≤ −2^53, which θ1 cannot hold exactly,
+    stores its wrapping differences at width 64 with bias 0 instead; the
+    decoder's prefix sum wraps back to the exact values."""
+    dbias = np.minimum(0, dmin)
+    width = bits_needed_vec(dmax - dbias)
     wide = dbias <= _WIDE_BIAS
     dbias[wide], width[wide] = 0, 64
+    return dbias, width
+
+
+def _delta_ranges(v: np.ndarray, starts, stops) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_delta_bias` of each range ``v[a:b]``, the differences' min and
+    max of every range from one ``reduceat`` over ``np.diff(v)``."""
+    a, b = np.asarray(starts, dtype=np.int64), np.asarray(stops, dtype=np.int64)
+    d = np.append(np.diff(v), 0)  # a last index b − 1 stays in range
+    at = np.stack([a, b - 1], axis=1).ravel()  # even slots reduce v[a:b]'s differences
+    short = b - a < 2
+    return _delta_bias(*(np.where(short, 0, f.reduceat(d, at)[::2]) for f in (np.minimum, np.maximum)))
+
+
+def _delta_widths(v: np.ndarray, starts, stops):
+    """The Partitioner's batched width callback; one range takes :func:`_delta_width`."""
+    return [_delta_width(v[starts[0] : stops[0]])] if len(starts) == 1 else _delta_ranges(v, starts, stops)[1]
+
+
+def _delta_fit_var(v: np.ndarray, starts: np.ndarray, stops: np.ndarray):
+    """Delta's fit of the partitions ``v[a:b]`` that tile ``v`` (the ``fit``
+    of ``encode_var``): their ``b − a − 1`` stored differences back to back."""
+    dbias, width = _delta_ranges(v, starts, stops)
+    stored = np.delete(np.diff(v), starts[1:] - 1) - np.repeat(dbias, stops - starts - 1)
+    return np.zeros(len(starts)), dbias.astype(np.float64), v[starts], width, stored
+
+
+def _delta_fit(rows: np.ndarray, L: int | None = None):
+    """Delta's fit of equal-length partitions stacked as rows (the ``fit``
+    of ``encode_fixed``; ``L`` plays no part)."""
+    d = np.diff(rows, axis=1)
+    spread = d if d.shape[1] else np.zeros((len(rows), 1), dtype=np.int64)
+    dbias, width = _delta_bias(spread.min(axis=1), spread.max(axis=1))
     return np.zeros(len(rows)), dbias.astype(np.float64), rows[:, 0], width, d - dbias[:, None]
 
 
@@ -66,12 +96,12 @@ def _decode_partition(t: PartitionTable, k: int, upto: int | None = None) -> np.
     return np.concatenate(([v0], v0 + np.cumsum(d)))
 
 
-def _decode_rows(t: PartitionTable, stored: np.ndarray) -> np.ndarray:
-    """Partitions ``0 .. g−1`` from their ``(g, L − 1)`` stored differences:
-    :func:`_decode_partition`'s prefix sum, row-wise."""
+def _decode_rows(t: PartitionTable, stored: np.ndarray, k: int = 0) -> np.ndarray:
+    """Partitions ``k .. k+g−1`` from their ``(g, L − 1)`` stored
+    differences: :func:`_decode_partition`'s prefix sum, row-wise."""
     g = len(stored)
-    v0 = t.bias[:g, None]
-    d = stored + t.theta1[:g, None].astype(np.int64)
+    v0 = t.bias[k : k + g, None]
+    d = stored + t.theta1[k : k + g, None].astype(np.int64)
     return np.concatenate([v0, v0 + np.cumsum(d, axis=1)], axis=1)
 
 
@@ -107,5 +137,5 @@ class DeltaVar(_DeltaBase):
         self.tau = tau
 
     def encode(self, values: np.ndarray, *, dtype_bits: int = 64) -> EncodedSequence:
-        starts = var_partitions(values, tau=self.tau, exact_width=_delta_width)
-        return encode_var(self.name, values, dtype_bits, starts, _delta_fit)
+        starts = var_partitions(values, tau=self.tau, exact_widths=_delta_widths)
+        return encode_var(self.name, values, dtype_bits, starts, _delta_fit_var)

@@ -23,10 +23,10 @@ import numpy as np
 
 from .bitpack import bits_needed_vec, extract, pack_rows, packed_size, unpack, unpack_rows
 from .format import EncodedSequence, PartitionTable, fixed_size, payload_counts
-from .partitioner import fixed_partitions, fixed_rows, search_fixed_length, var_partitions, var_rows
+from .partitioner import fixed_partitions, fixed_rows, search_fixed_length, var_partitions
 from .regressor import LinearRegressor, positions
 
-__all__ = ["LeCoFix", "LeCoVar", "access_many", "positions_in"]
+__all__ = ["LeCoFix", "LeCoVar", "access_many", "fit_ranges", "positions_in"]
 
 _REGRESSOR = LinearRegressor()
 
@@ -35,18 +35,28 @@ _REGRESSOR = LinearRegressor()
 _SAFE = 2.0**62
 
 
-def _fit_rows(rows: np.ndarray):
-    """Vectorized least-squares line + best-of(line, FOR) over equal-length
-    partitions stacked as rows.
+def _best_of(x, lo, hi, theta0, theta1, deltas, safe):
+    """Each row of ``x`` (min ``lo``, max ``hi``) keeps the better of its line,
+    whose ``deltas`` are ``x − floor(θ0 + θ1·i)``, and FOR's horizontal line
+    through the row minimum (§2), so LeCo is never worse than FOR.  A row
+    not ``safe`` (values or line ends beyond ±2^62) takes the horizontal
+    line, exact over all of int64.  Returns ``(θ0, θ1, bias, width, stored)``."""
+    dlo, dhi = deltas.min(axis=1), deltas.max(axis=1)
+    w_lin, w_const = bits_needed_vec(dhi - dlo), bits_needed_vec(hi - lo)
+    lin = safe & (w_lin <= w_const)
+    # the horizontal line floor(float(lo)); its integer error goes in bias
+    c0 = lo.astype(np.float64)
+    c0[c0 >= 2.0**63] = 0.0  # float(lo) rounded out of int64
+    c0_int = c0.astype(np.int64)
+    deltas[~lin] = x[~lin] - c0_int[~lin, None]
+    bias = np.where(lin, dlo, lo - c0_int)
+    theta = np.where(lin, theta0, c0), np.where(lin, theta1, 0.0)
+    return *theta, bias, np.where(lin, w_lin, w_const), deltas - bias[:, None]
 
-    Each row keeps the better of its fitted line and FOR's horizontal line
-    through the row minimum (a special case of the framework — §2), so LeCo
-    is never worse than FOR on the same partition.  A row whose values or
-    line ends leave ±2^62 always takes the horizontal line, which is exact
-    over the whole int64 range.  Returns ``(θ0, θ1, bias, width, stored)``
-    (the fit contract of :func:`build_table`) with
-    ``stored = v − floor(θ0 + θ1·i) − bias`` (int64, wrapping).
-    """
+
+def _fit_rows(rows: np.ndarray):
+    """Vectorized least-squares line + :func:`_best_of` over equal-length
+    partitions stacked as rows: the fit contract of :func:`build_table`."""
     m, L = rows.shape
     i = np.arange(L, dtype=np.float64)
     ibar = (L - 1) / 2.0
@@ -58,33 +68,16 @@ def _fit_rows(rows: np.ndarray):
     pred = np.floor(theta0[:, None] + theta1[:, None] * i)
     ends = np.maximum(np.abs(pred[:, 0]), np.abs(pred[:, -1]))
     vals = np.maximum(np.abs(rmin.astype(np.float64)), np.abs(rmax.astype(np.float64)))
-    safe = (ends < _SAFE) & (vals < _SAFE)
-    with np.errstate(invalid="ignore"):  # unsafe rows are replaced below
+    with np.errstate(invalid="ignore"):  # unsafe rows are replaced
         deltas = rows - pred.astype(np.int64)
-    dmin, dmax = deltas.min(axis=1), deltas.max(axis=1)
-    w_lin = bits_needed_vec(dmax - dmin)
-    w_const = bits_needed_vec(rmax - rmin)
-    use_const = ~safe | (w_const < w_lin)
-    # the horizontal line floor(float(rmin)); its integer error goes in bias
-    c0 = rmin.astype(np.float64)
-    c0[c0 >= 2.0**63] = 0.0  # float(rmin) rounded out of int64
-    c0_int = c0.astype(np.int64)
-    deltas[use_const] = rows[use_const] - c0_int[use_const, None]
-    bias = np.where(use_const, rmin - c0_int, dmin)
-    return (
-        np.where(use_const, c0, theta0),
-        np.where(use_const, 0.0, theta1),
-        bias,
-        np.where(use_const, w_const, w_lin),
-        deltas - bias[:, None],
-    )
+    return _best_of(rows, rmin, rmax, theta0, theta1, deltas, (ends < _SAFE) & (vals < _SAFE))
 
 
 def _fit_one(values: np.ndarray) -> tuple[float, float, int, int, np.ndarray]:
     """One partition through the Regressor (least squares + θ0-tweak), with
-    :func:`_fit_rows`'s choice of line in scalar arithmetic (the
-    variable-length Partitioner calls this thousands of times on short
-    slices, for the width only).  Returns ``(θ0, θ1, bias, width, deltas)``
+    :func:`_best_of`'s choice of line in scalar arithmetic (the merge phase
+    of the variable-length Partitioner calls this thousands of times on
+    single ranges, for the width only).  Returns ``(θ0, θ1, bias, width, deltas)``
     with ``deltas = v − floor(θ0 + θ1·i)``; the stored values are
     ``deltas − bias``."""
     v = np.asarray(values, dtype=np.int64)
@@ -103,16 +96,84 @@ def _fit_one(values: np.ndarray) -> tuple[float, float, int, int, np.ndarray]:
     return c0, 0.0, lo - int(c0), w_const, v - int(c0)
 
 
-def _linear_width(values: np.ndarray) -> int:
-    """Exact delta bit-width the encoder yields for one partition."""
-    return _fit_one(values)[3]
+#: numpy's pairwise block size: it sums at most this many float64 values in
+#: eight lanes and splits a longer sum in two
+_PAIRWISE_BLOCK = 128
+#: short ranges per padded block: temporaries stay near 256 KB; blocks of
+#: thousands of rows (MBs each) measured slower, and slowed later encodes
+_BLOCK_ROWS = 256
 
 
-def _fit_linear(rows: np.ndarray, L: int | None = None):
-    """LeCo's fit: full length-``L`` rows take the vectorized
-    :func:`_fit_rows`; a single partition (the short tail of a fixed-length
-    layout, or a variable-length partition with ``L=None``) takes the
-    Regressor of :func:`_fit_one`, whose θ0-tweak the stored model keeps."""
+def _row_sums(x: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """``np.sum(x[r, :n[r]])`` of each row of the float64 block ``x`` (width a
+    multiple of 8, ``n ≤ 128``), bit for bit: eight lanes over the first
+    ``n − n % 8`` values, ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, the rest
+    in order, the total added to 0.0.  Padding is −0.0, the IEEE identity."""
+    m, P = x.shape
+    body = n - n % 8
+    lanes = np.where(np.arange(P) < body[:, None], x, -0.0).reshape(m, P // 8, 8)
+    r = lanes[:, 0].copy()
+    for k in range(1, P // 8):
+        r += lanes[:, k]
+    s = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
+    rest = body[:, None] + np.arange(7)
+    rest = np.where(rest < n[:, None], x[np.arange(m)[:, None], np.minimum(rest, P - 1)], -0.0)
+    for k in range(7):
+        s += rest[:, k]
+    return s + 0.0
+
+
+def _fit_short(v: np.ndarray, a: np.ndarray, n: np.ndarray):
+    """:func:`_fit_one` of each range ``v[a:a+n]`` (``n ≤ 128``) on one block,
+    padded with each row's first value and position: the same float
+    operations element by element, the Regressor's two sums by
+    :func:`_row_sums`.  Returns the fit and the mask of in-range entries."""
+    j = np.arange(-(-int(n.max(initial=1)) // 8) * 8)
+    inside = j < n[:, None]
+    x = v[a[:, None] + np.where(inside, j, 0)]
+    i = np.where(inside, j, 0).astype(np.float64)
+    xf, nf = x.astype(np.float64), n.astype(np.float64)
+    with np.errstate(invalid="ignore", over="ignore"):  # unsafe rows take the horizontal line
+        vbar = _row_sums(xf, n) / nf
+        ibar = (nf - 1) / 2.0
+        # Σ(i − ī)² = n(n² − 1)/12 is the Regressor's summed divisor exactly: every term
+        # and partial sum is a multiple of 1/4 far below 2^53
+        denom = np.where(n > 1, nf * (nf * nf - 1) / 12, 1.0)
+        theta1 = _row_sums((i - ibar[:, None]) * (xf - vbar[:, None]), n) / denom
+        theta0 = vbar - theta1 * ibar
+        d = x - np.floor(theta0[:, None] + theta1[:, None] * i).astype(np.int64)
+        theta0 += (d.max(axis=1).astype(np.float64) + d.min(axis=1).astype(np.float64)) / 2.0  # θ0-tweak
+        deltas = x - np.floor(theta0[:, None] + theta1[:, None] * i).astype(np.int64)
+        ends = np.maximum(np.abs(np.floor(theta0)), np.abs(np.floor(theta0 + theta1 * (nf - 1))))
+    lo, hi = x.min(axis=1), x.max(axis=1)
+    safe = (lo > -(2**62)) & (hi < 2**62) & (ends < _SAFE)
+    return _best_of(x, lo, hi, theta0, theta1, deltas, safe), inside
+
+
+def fit_ranges(v: np.ndarray, starts, stops):
+    """:func:`_fit_one` of every range ``v[a:b]``, bit for bit: arrays ``(θ0, θ1,
+    bias, width, stored)``, ``stored`` back to back.  Ranges of ≤ 128 values go
+    through :func:`_fit_short`, in blocks, longer ones through :func:`_fit_one`."""
+    a = np.asarray(starts, dtype=np.int64)
+    n = np.asarray(stops, dtype=np.int64) - a
+    short, at = n <= _PAIRWISE_BLOCK, np.cumsum(n) - n
+    theta0, theta1, bias, width = (np.empty(len(n), t) for t in (float, float, np.int64, np.int64))
+    stored = np.empty(int(n.sum()), dtype=np.int64)
+    ks = np.flatnonzero(short)
+    for k in (ks[c : c + _BLOCK_ROWS] for c in range(0, len(ks), _BLOCK_ROWS)):
+        fit, inside = _fit_short(v, a[k], n[k])
+        theta0[k], theta1[k], bias[k], width[k], block = fit
+        stored[(at[k, None] + np.arange(inside.shape[1]))[inside]] = block[inside]
+    for k in np.flatnonzero(~short).tolist():
+        theta0[k], theta1[k], bias[k], width[k], deltas = _fit_one(v[a[k] : a[k] + n[k]])
+        stored[at[k] : at[k] + n[k]] = deltas - bias[k]
+    return theta0, theta1, bias, width, stored
+
+
+def _fit_linear(rows: np.ndarray, L: int):
+    """LeCo's fit of a fixed-length layout: full length-``L`` rows take the
+    vectorized :func:`_fit_rows`; the short tail takes the Regressor of
+    :func:`_fit_one`, whose θ0-tweak the stored model keeps."""
     if rows.shape[1] == L:
         return _fit_rows(rows)
     theta0, theta1, bias, width, deltas = _fit_one(rows[0])
@@ -129,44 +190,47 @@ def fixed_widths_linear(values: np.ndarray, L: int) -> np.ndarray:
     return fixed_widths(values, L, _fit_linear)
 
 
-def build_table(blocks: list[np.ndarray], fit, L: int | None = None) -> PartitionTable:
-    """The one Model+Delta table builder.  ``blocks`` stack equal-length
-    partitions as rows (``partitioner.fixed_rows`` or ``var_rows``), and
-    ``fit(rows, L)`` gives each row's ``(θ0, θ1, bias, width, stored)``,
-    where ``stored`` is what gets packed unsigned at ``width`` bits: ``n``
-    deltas, or Delta's ``n − 1`` differences.  ``L`` is the fixed partition
-    length, None for a variable-length layout.  Every partition is packed
-    by one ragged ``pack_rows`` call."""
-    fits = [fit(rows, L) for rows in blocks]
-    theta0, theta1, bias, width = (
-        np.concatenate([f[j] for f in fits]) if fits else np.empty(0, dtype=np.int64) for j in range(4)
-    )
-    m = [len(rows) for rows in blocks]
-    n = np.repeat([rows.shape[1] for rows in blocks], m)
-    n_stored = np.repeat([f[4].shape[1] for f in fits], m)
-    stored = np.concatenate([f[4].reshape(-1) for f in fits]) if fits else np.empty(0, dtype=np.int64)
+def _linear_widths(v: np.ndarray, starts, stops):
+    """LeCo's width callback for ``var_partitions``; one range takes :func:`_fit_one`."""
+    return [_fit_one(v[starts[0] : stops[0]])[3]] if len(starts) == 1 else fit_ranges(v, starts, stops)[3]
+
+
+def build_table(fit, n: np.ndarray, n_stored: np.ndarray) -> PartitionTable:
+    """The one Model+Delta table builder: ``fit = (θ0, θ1, bias, width,
+    stored)`` of partitions of ``n`` values, whose ``n_stored`` stored values
+    lie back to back in ``stored``, all packed by one ``pack_rows`` call."""
+    theta0, theta1, bias, width, stored = fit
     payload = pack_rows(stored, n_stored, width)
     return PartitionTable.build(theta0, theta1, bias, width, n, packed_size(n_stored, width), payload)
 
 
 def encode_fixed(scheme: str, values, dtype_bits: int, L: int | None, fit, widths=None) -> EncodedSequence:
     """``values`` as ``scheme`` in fixed-length-``L`` partitions fitted by
-    ``fit``.  When ``L`` is None it is searched (§3.2.1): each candidate is
-    priced by the size model ``format.fixed_size`` at the widths
-    ``widths(sample, L)``, by default the ones ``fit`` gives."""
+    ``fit(rows, L)`` per block of ``fixed_rows``.  When ``L`` is None it is
+    searched (§3.2.1): each candidate is priced by the size model
+    ``format.fixed_size`` at the widths ``widths(sample, L)``, by default the
+    ones ``fit`` gives."""
     v = np.asarray(values, dtype=np.int64)
     if L is None:
         widths = widths or (lambda s, L: fixed_widths(s, L, fit))
         L = search_fixed_length(v, lambda s, L: fixed_size(scheme, len(s), L, widths(s, L)))
     starts = fixed_partitions(len(v), L)
-    return EncodedSequence(scheme, len(v), dtype_bits, L, starts, build_table(fixed_rows(v, L), fit, L))
+    fits = [fit(rows, L) for rows in fixed_rows(v, L)] or [[np.empty(0, dtype=np.int64)] * 5]
+    n = np.diff(starts.astype(np.int64), append=len(v))
+    cols = [np.concatenate([np.reshape(f[j], -1) for f in fits]) for j in range(5)]
+    table = build_table(cols, n, payload_counts(scheme, n))
+    return EncodedSequence(scheme, len(v), dtype_bits, L, starts, table)
 
 
 def encode_var(scheme: str, values, dtype_bits: int, starts: np.ndarray, fit) -> EncodedSequence:
     """``values`` as ``scheme`` in the variable-length partitions beginning at
-    ``starts``, each fitted by ``fit``."""
+    ``starts``, all fitted by one ``fit(v, starts, stops)`` call (the
+    contract of :func:`fit_ranges`)."""
     v = np.asarray(values, dtype=np.int64)
-    return EncodedSequence(scheme, len(v), dtype_bits, None, starts, build_table(var_rows(v, starts), fit))
+    a = np.asarray(starts, dtype=np.int64)
+    n = np.diff(a, append=len(v))
+    table = build_table(fit(v, a, a + n), n, payload_counts(scheme, n))
+    return EncodedSequence(scheme, len(v), dtype_bits, None, starts, table)
 
 
 def _decode_partition(t: PartitionTable, k: int, start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -269,36 +333,40 @@ def access_many(enc: EncodedSequence, positions) -> np.ndarray:
     return np.floor(t.theta0[k] + t.theta1[k] * i).astype(np.int64) + t.bias[k] + deltas
 
 
-def _decode_rows(t: PartitionTable, stored: np.ndarray) -> np.ndarray:
-    """Partitions ``0 .. g−1`` of a LeCo or FOR table from their ``(g, L)``
+def _decode_rows(t: PartitionTable, stored: np.ndarray, k: int = 0) -> np.ndarray:
+    """Partitions ``k .. k+g−1`` of a LeCo or FOR table from their ``(g, L)``
     stored deltas (int64): the block form of :func:`_decode_partition`, with
     the same inference ``floor(θ0 + θ1·i) + bias``, so the values are
     bit-identical.  When every row is flat (θ1 = 0, as in FOR) a row adds
     only ``floor(θ0) + bias``."""
     g, L = stored.shape
-    theta0, theta1 = t.theta0[:g, None], t.theta1[:g, None]
+    theta0, theta1 = t.theta0[k : k + g, None], t.theta1[k : k + g, None]
     pred = theta0
     if theta1.any():
         pred = theta1 * np.arange(L)
         pred += theta0
-    return stored + (np.floor(pred).astype(np.int64) + t.bias[:g, None])
+    return stored + (np.floor(pred).astype(np.int64) + t.bias[k : k + g, None])
 
 
 def decode_table(enc: EncodedSequence, part=None, rows=None) -> np.ndarray:
     """Full decode of a Model+Delta sequence over the blocks :func:`build_table`
-    packed: the full partitions of a fixed-length layout as one block, read
-    by one ``unpack_rows`` and finished by ``rows(t, stored)``; every other
-    partition (a short tail, each variable-length one) as a single row,
+    packed.  A fixed-length layout is read as two blocks of equal-length
+    rows, its full partitions and its short tail, each by one
+    ``unpack_rows`` and finished by ``rows(t, stored, k)`` from row ``k``
+    on; a variable-length layout is read one partition at a time,
     ``part(t, k)``.  LeCo's and FOR's :func:`_decode_rows` and
     :func:`_decode_partition` when None; Delta passes its prefix sums."""
     t, part, rows = enc.partitions, part or _decode_partition, rows or _decode_rows
-    m = enc.n // enc.fixed_len if enc.fixed_len else 0
-    out = []
-    if m:
-        count = payload_counts(enc.scheme, enc.fixed_len)
-        stored = unpack_rows(t.payload, t.payload_off[:m], count, t.width[:m]).view(np.int64)
-        out.append(rows(t, stored).reshape(-1))
-    out += [part(t, k) for k in range(m, len(t))]
+    if not enc.fixed_len:
+        out = [part(t, k) for k in range(len(t))]
+    else:
+        m = enc.n // enc.fixed_len
+        out = []
+        for a, b in ((0, m), (m, len(t))):
+            if a < b:
+                count = payload_counts(enc.scheme, int(t.n[a]))
+                stored = unpack_rows(t.payload, t.payload_off[a:b], count, t.width[a:b]).view(np.int64)
+                out.append(rows(t, stored, a).reshape(-1))
     return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
 
 
@@ -346,5 +414,5 @@ class LeCoVar(_LeCoBase):
         self.tau = tau
 
     def encode(self, values: np.ndarray, *, dtype_bits: int = 64) -> EncodedSequence:
-        starts = var_partitions(values, tau=self.tau, exact_width=_linear_width)
-        return encode_var(self.name, values, dtype_bits, starts, _fit_linear)
+        starts = var_partitions(values, tau=self.tau, exact_widths=_linear_widths)
+        return encode_var(self.name, values, dtype_bits, starts, fit_ranges)

@@ -1,6 +1,6 @@
 """Partitioners (§3.2): split a sequence so Model+Delta compresses best.
 
-Three schemes:
+Two schemes:
 
 * :func:`fixed_partitions` + :func:`search_fixed_length` — fixed-length
   partitions with the paper's sampling-based "U-shape" size search (§3.2.1).
@@ -8,13 +8,12 @@ Three schemes:
   algorithm (§3.2.2) using the approximate difficulty metric
   ``Δ̃(v[i,j)) = bits(max(dₖ) − min(dₖ))`` over the first differences, with
   the cost rule ``C = (len+1)·Δ̃_new − len·Δ̃_old ≤ τ·S_M`` in the split
-  phase, followed by merge passes (with exact widths) until fixpoint.
-* :func:`dp_optimal_partitions` — exact dynamic program, O(n²); the test
-  oracle the paper's §3.2.2 validates against (greedy ≤ ~3% worse).
+  phase, then a bisection refine and merge passes (with exact widths)
+  until fixpoint.
 
 Deviation from the paper (documented in DESIGN.md §4): the split phase scans
 left-to-right instead of seeding at minimum second-order-delta positions;
-tests bound the gap against the DP optimum.
+tests bound the gap against an exact dynamic program.
 """
 from __future__ import annotations
 
@@ -27,10 +26,8 @@ from .bitpack import bits_needed_vec
 __all__ = [
     "fixed_partitions",
     "fixed_rows",
-    "var_rows",
     "search_fixed_length",
     "var_partitions",
-    "dp_optimal_partitions",
 ]
 
 #: minimum values per starting partition for a linear Regressor (§3.2.2).
@@ -57,12 +54,6 @@ def fixed_rows(values: np.ndarray, length: int) -> list[np.ndarray]:
     if len(values) % length:
         blocks.append(values[m * length :].reshape(1, -1))
     return blocks
-
-
-def var_rows(values: np.ndarray, starts: np.ndarray) -> list[np.ndarray]:
-    """``values`` cut at ``starts``: one ``(1, n_k)`` block per partition."""
-    bounds = np.append(starts, len(values)).astype(np.int64).tolist()
-    return [values[a:b].reshape(1, -1) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 #: the fixed-length search samples this share of the values (<1% suffices,
@@ -157,14 +148,14 @@ def var_partitions(
     values: np.ndarray,
     *,
     tau: float,
-    exact_width: Callable[[np.ndarray], int],
+    exact_widths: Callable[[np.ndarray, Sequence[int], Sequence[int]], Sequence[int]],
 ) -> np.ndarray:
     """Greedy split/merge variable-length partitioning (§3.2.2).
 
-    ``exact_width(sub)`` returns the true delta bit-width the codec would use
-    for a partition holding ``sub`` (invoking its Regressor); the split phase
-    only uses the cheap Δ̃ approximation, the refine and merge phases use
-    exact widths, each range's width computed once per call.
+    ``exact_widths(v, starts, stops)`` returns the true delta bit-width the
+    codec would use for each partition ``v[a:b]`` (invoking its Regressor);
+    the split phase only uses the cheap Δ̃ approximation, the refine and
+    merge phases use exact widths, each range's width computed once per call.
     Returns the partition start indices (uint32, first element 0; none for
     empty input).
     """
@@ -176,29 +167,41 @@ def var_partitions(
 
     memo: dict[tuple[int, int], int] = {}
 
+    def fit(ranges: list[tuple[int, int]]) -> None:
+        """Exact widths of the distinct ``ranges`` not yet fitted, in one call."""
+        new = [r for r in ranges if r not in memo]
+        if new:
+            memo.update(zip(new, map(int, exact_widths(v, *zip(*new)))))
+
     def width(a: int, b: int) -> int:
         """Exact width of ``v[a:b]``; a range is fitted at most once."""
-        w = memo.get((a, b))
-        if w is None:
-            w = memo[a, b] = exact_width(v[a:b])
-        return w
+        if (a, b) not in memo:
+            memo[a, b] = int(exact_widths(v, (a,), (b,))[0])
+        return memo[a, b]
 
-    # --- refine phase: recursively bisect partitions while it shrinks the
-    # exact encoded size.  The split phase's Δ̃ metric is insensitive to the
-    # slow drift of random-walk-like data (stable first-difference spread but
-    # growing deviation from any one line), so it can grow one enormous
-    # partition; the paper avoids this by seeding many concurrent starting
-    # partitions.  Top-down bisection with exact widths recovers the same
-    # effect; the merge phase below re-joins any over-splits.
-    refined: list[int] = []
-    for k, s in enumerate(starts):
-        e = starts[k + 1] if k + 1 < len(starts) else n
-        refined.extend(_bisect(s, e, width))
-    starts = refined
+    # --- refine phase: bisect partitions while it shrinks the exact encoded
+    # size, breadth first: one call fits the whole range and both halves of
+    # every node of a level.  The split phase's Δ̃ metric misses the slow
+    # drift of random-walk-like data, so it can grow one enormous partition;
+    # the paper seeds many concurrent starting partitions instead.  Top-down
+    # bisection with exact widths recovers the same effect; the merge phase
+    # below re-joins any over-splits.
+    bounds = starts + [n]
+    level = [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b - a >= 2 * MIN_PARTITION]
+    while level:
+        fit([r for a, b in level for r in ((a, b), (a, (a + b) // 2), ((a + b) // 2, b))])
+        nodes, level = level, []
+        for a, b in nodes:
+            mid = (a + b) // 2
+            halves = 2 * MODEL_BITS + (mid - a) * memo[a, mid] + (b - mid) * memo[mid, b]
+            if halves < MODEL_BITS + (b - a) * memo[a, b]:
+                starts.append(mid)
+                level += [r for r in ((a, mid), (mid, b)) if r[1] - r[0] >= 2 * MIN_PARTITION]
 
     # --- merge phase: exact-width pairwise merges to fixpoint --------------
-    bounds = starts + [n]
-    widths = [width(bounds[k], bounds[k + 1]) for k in range(len(starts))]
+    bounds = sorted(starts) + [n]
+    fit(list(zip(bounds[:-1], bounds[1:])))
+    widths = [memo[r] for r in zip(bounds[:-1], bounds[1:])]
     for _ in range(_MAX_MERGE_PASSES):
         merged_any = False
         k = 0
@@ -216,45 +219,3 @@ def var_partitions(
         if not merged_any:
             break
     return np.asarray(bounds[:-1], dtype=np.uint32)
-
-
-def _bisect(lo: int, hi: int, width: Callable[[int, int], int]) -> list[int]:
-    """Recursively split ``[lo, hi)`` at the midpoint while the exact encoded
-    size (model + deltas, in bits; ``width(a, b)`` of ``[a, b)``) decreases.
-    Returns partition starts."""
-    if hi - lo < 2 * MIN_PARTITION:
-        return [lo]
-    mid = (lo + hi) // 2
-    whole = MODEL_BITS + (hi - lo) * width(lo, hi)
-    halves = 2 * MODEL_BITS + (mid - lo) * width(lo, mid) + (hi - mid) * width(mid, hi)
-    if halves >= whole:
-        return [lo]
-    return _bisect(lo, mid, width) + _bisect(mid, hi, width)
-
-
-def dp_optimal_partitions(values: Sequence[int], cost_bits: Callable[[np.ndarray], int]) -> np.ndarray:
-    """Exact optimal partitioning by dynamic programming (test oracle only).
-
-    ``cost_bits(sub)`` is the total encoded size in bits of one partition
-    holding ``sub`` (model + deltas).  O(n²) subproblems, each cost call
-    O(len); fine for the ≤ few-hundred-element inputs used in tests.
-    """
-    v = np.asarray(values, dtype=np.int64)
-    n = len(v)
-    INF = float("inf")
-    best = [INF] * (n + 1)
-    prev = [0] * (n + 1)
-    best[0] = 0.0
-    for j in range(1, n + 1):
-        for i in range(max(0, j - 4096), j):
-            if best[i] == INF:
-                continue
-            c = best[i] + cost_bits(v[i:j])
-            if c < best[j]:
-                best[j], prev[j] = c, i
-    cuts = []
-    j = n
-    while j > 0:
-        cuts.append(prev[j])
-        j = prev[j]
-    return np.asarray(sorted(cuts), dtype=np.uint32)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .format import EncodedSequence
-from .leco import _LeCoBase, _fit_linear, encode_var
+from .leco import _LeCoBase, encode_var, fit_ranges
 
 __all__ = ["angle_partitions", "LeCoAngle"]
 
@@ -59,4 +59,4 @@ class LeCoAngle(_LeCoBase):
     def encode(self, values: np.ndarray, *, dtype_bits: int = 64) -> EncodedSequence:
         eps = float(2 ** (self.epsilon_bits - 1))
         starts = angle_partitions(values, eps)
-        return encode_var(self.name, values, dtype_bits, starts, _fit_linear)
+        return encode_var(self.name, values, dtype_bits, starts, fit_ranges)

@@ -171,7 +171,7 @@ def test_roundtrip_property(values, name):
     _check_lossless(CODECS[name], values)
 
 
-# -- full decode: one block of full partitions, then single rows ---------------
+# -- full decode: one block of full partitions, then the tail as one row -------
 
 @given(
     values=st.one_of(
@@ -184,15 +184,17 @@ def test_roundtrip_property(values, name):
 )
 @settings(max_examples=300, deadline=None)
 def test_decode_table_equals_per_partition_decode(values, codec, L):
-    """Decoding the full partitions as one block gives exactly the
-    concatenated per-partition decodes, for blobs read back from bytes: a
-    tail shorter than ``L``, ``n < L`` and ``n == 0`` included."""
+    """Decoding the full partitions as one block and the tail as a one-row
+    block gives exactly the concatenated per-partition decodes, for blobs
+    read back from bytes: a tail shorter than ``L``, ``n < L`` and ``n == 0``
+    included."""
     v = np.asarray(values, dtype=np.int64)
     enc = EncodedSequence.from_bytes(codec(L).encode(v).to_bytes())
+    got = codec().decode(enc)
+    assert "access_rows" not in vars(enc.partitions)  # no per-partition header tuples
     part = delta_codec._decode_partition if codec is DeltaFix else leco._decode_partition
     parts = [part(enc.partitions, k) for k in range(len(enc.partitions))]
     want = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    got = codec().decode(enc)
     assert got.dtype == np.int64
     assert np.array_equal(got, want) and np.array_equal(got, v)
 

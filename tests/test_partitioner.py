@@ -1,16 +1,17 @@
 """Unit tests for the Partitioner (§3.2): fixed, variable, DP-optimal, PLA."""
+from typing import Callable, Sequence
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.delta_codec import _delta_fit, _delta_width
+from repro.baselines.delta_codec import _delta_fit, _delta_width, _delta_widths
 from repro.core.bitpack import bits_needed
-from repro.core.leco import _linear_width
+from repro.core.leco import _fit_one, _linear_widths
 from repro.core.partitioner import (
     MIN_PARTITION,
     _split,
-    dp_optimal_partitions,
     fixed_partitions,
     search_fixed_length,
     var_partitions,
@@ -19,6 +20,11 @@ from repro.datasets import INTEGER_DATASETS
 from repro.core.format import EncodedSequence
 from repro.core.pla import LeCoAngle, angle_partitions
 from repro.core.regressor import LinearRegressor
+
+
+def _linear_width(sub):
+    """Exact delta bit-width LeCo's encoder yields for one partition."""
+    return _fit_one(sub)[3]
 
 
 def test_fixed_partitions_cover():
@@ -44,19 +50,19 @@ def _starts_valid(starts, n):
 def test_var_partitions_valid(tau):
     g = np.random.default_rng(3)
     v = np.cumsum(g.integers(0, 50, 5000)).astype(np.int64)
-    starts = var_partitions(v, tau=tau, exact_width=_linear_width)
+    starts = var_partitions(v, tau=tau, exact_widths=_linear_widths)
     _starts_valid(starts, len(v))
 
 
 def test_var_partitions_tiny_input():
-    starts = var_partitions(np.array([1, 2, 3]), tau=0.1, exact_width=_linear_width)
+    starts = var_partitions(np.array([1, 2, 3]), tau=0.1, exact_widths=_linear_widths)
     assert list(starts) == [0]
 
 
 def test_var_partitions_detects_regime_change():
     """Two clean linear regimes with different slopes should be split."""
     v = np.concatenate([7 * np.arange(500), 100000 - 90 * np.arange(500)]).astype(np.int64)
-    starts = var_partitions(v, tau=0.1, exact_width=_linear_width)
+    starts = var_partitions(v, tau=0.1, exact_widths=_linear_widths)
     assert len(starts) >= 2
     # some boundary near the regime switch at 500
     assert any(abs(int(s) - 500) <= MIN_PARTITION * 2 for s in starts)
@@ -65,8 +71,36 @@ def test_var_partitions_detects_regime_change():
 def test_var_partitions_merges_uniform_data():
     """One clean line should end as very few partitions."""
     v = (11 * np.arange(4000)).astype(np.int64)
-    starts = var_partitions(v, tau=0.1, exact_width=_linear_width)
+    starts = var_partitions(v, tau=0.1, exact_widths=_linear_widths)
     assert len(starts) <= 4
+
+
+def dp_optimal_partitions(values: Sequence[int], cost_bits: Callable[[np.ndarray], int]) -> np.ndarray:
+    """Exact optimal partitioning by dynamic programming (the §3.2.2 oracle).
+
+    ``cost_bits(sub)`` is the total encoded size in bits of one partition
+    holding ``sub`` (model + deltas).  O(n²) subproblems, each cost call
+    O(len); fine for the ≤ few-hundred-element inputs used here.
+    """
+    v = np.asarray(values, dtype=np.int64)
+    n = len(v)
+    INF = float("inf")
+    best = [INF] * (n + 1)
+    prev = [0] * (n + 1)
+    best[0] = 0.0
+    for j in range(1, n + 1):
+        for i in range(max(0, j - 4096), j):
+            if best[i] == INF:
+                continue
+            c = best[i] + cost_bits(v[i:j])
+            if c < best[j]:
+                best[j], prev[j] = c, i
+    cuts = []
+    j = n
+    while j > 0:
+        cuts.append(prev[j])
+        j = prev[j]
+    return np.asarray(sorted(cuts), dtype=np.uint32)
 
 
 def _enc_bits(sub):
@@ -80,7 +114,7 @@ def test_greedy_within_envelope_of_dp(seed):
     where header granularity dominates)."""
     g = np.random.default_rng(seed)
     v = np.cumsum(g.integers(0, 2 ** int(g.integers(1, 8)), 250)).astype(np.int64)
-    starts = var_partitions(v, tau=0.05, exact_width=_linear_width)
+    starts = var_partitions(v, tau=0.05, exact_widths=_linear_widths)
     bounds = list(starts) + [len(v)]
     greedy = sum(_enc_bits(v[bounds[i] : bounds[i + 1]]) for i in range(len(starts)))
     opt_starts = dp_optimal_partitions(v, _enc_bits)
@@ -189,6 +223,10 @@ def test_delta_width_is_the_stored_width(first, steps):
 # the library holds one split only.
 
 
+#: each scalar width and the Partitioner's batched callback that computes it
+BATCHED = {_linear_width: _linear_widths, _delta_width: _delta_widths}
+
+
 def _oracle_split(v, threshold):
     """The per-element split loop: Python-int running max/min of the first
     differences, two ``bits_needed`` calls per value."""
@@ -217,9 +255,11 @@ def _oracle_split(v, threshold):
     return starts
 
 
-def _oracle_bisect(v, lo, hi, exact_width, model_bits):
+def _oracle_bisect(v, lo, hi, exact_width, model_bits, depth=0, levels=None):
     if hi - lo < 2 * MIN_PARTITION:
         return [lo]
+    if levels is not None:
+        levels.add(depth)
     mid = (lo + hi) // 2
     whole = model_bits + (hi - lo) * exact_width(v[lo:hi])
     halves = (
@@ -229,12 +269,13 @@ def _oracle_bisect(v, lo, hi, exact_width, model_bits):
     )
     if halves >= whole:
         return [lo]
-    return _oracle_bisect(v, lo, mid, exact_width, model_bits) + _oracle_bisect(
-        v, mid, hi, exact_width, model_bits
+    return _oracle_bisect(v, lo, mid, exact_width, model_bits, depth + 1, levels) + _oracle_bisect(
+        v, mid, hi, exact_width, model_bits, depth + 1, levels
     )
 
 
-def _oracle_var_partitions(values, *, tau, model_bits, exact_width, max_merge_passes=8):
+def _oracle_var_partitions(values, *, tau, model_bits, exact_width, max_merge_passes=8, levels=None):
+    """``levels`` collects the depths of the bisection tree that fit a range."""
     v = np.asarray(values, dtype=np.int64)
     n = len(v)
     if n <= MIN_PARTITION:
@@ -243,7 +284,7 @@ def _oracle_var_partitions(values, *, tau, model_bits, exact_width, max_merge_pa
     refined = []
     for k, s in enumerate(starts):
         e = starts[k + 1] if k + 1 < len(starts) else n
-        refined.extend(_oracle_bisect(v, s, e, exact_width, model_bits))
+        refined.extend(_oracle_bisect(v, s, e, exact_width, model_bits, levels=levels))
     starts = refined
     bounds = starts + [n]
     widths = [exact_width(v[bounds[k] : bounds[k + 1]]) for k in range(len(starts))]
@@ -310,7 +351,7 @@ def test_split_matches_scalar_loop(values, tau):
 )
 @settings(max_examples=150, deadline=None)
 def test_var_partitions_matches_scalar_oracle(values, tau, width):
-    got = var_partitions(values, tau=tau, exact_width=width)
+    got = var_partitions(values, tau=tau, exact_widths=BATCHED[width])
     want = _oracle_var_partitions(values, tau=tau, model_bits=128, exact_width=width)
     assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
@@ -320,7 +361,7 @@ def test_var_partitions_matches_scalar_oracle_on_datasets():
     for name, gen in INTEGER_DATASETS.items():
         v = gen(20_000)[0]
         for width in (_linear_width, _delta_width):
-            got = var_partitions(v, tau=0.1, exact_width=width)
+            got = var_partitions(v, tau=0.1, exact_widths=BATCHED[width])
             want = _oracle_var_partitions(v, tau=0.1, model_bits=128, exact_width=width)
             assert got.tolist() == want.tolist(), (name, width.__name__)
 
@@ -336,6 +377,18 @@ def _counting(exact_width, v, fitted):
     return width
 
 
+def _counting_batched(exact_widths, fitted, calls):
+    """``exact_widths`` that records each range it fits as ``(start, len)``
+    and the number of ranges of each call."""
+
+    def widths(v, starts, stops):
+        fitted.extend((int(a), int(b) - int(a)) for a, b in zip(starts, stops))
+        calls.append(len(starts))
+        return exact_widths(v, starts, stops)
+
+    return widths
+
+
 @pytest.mark.parametrize("name", ["books", "normal", "ml", "movieid"])
 @pytest.mark.parametrize("exact_width", [_linear_width, _delta_width])
 def test_var_partitions_fits_each_range_once(name, exact_width):
@@ -344,8 +397,23 @@ def test_var_partitions_fits_each_range_once(name, exact_width):
     Partitioner fitted."""
     v = np.ascontiguousarray(INTEGER_DATASETS[name](20_000)[0], dtype=np.int64)
     fitted, old = [], []
-    var_partitions(v, tau=0.1, exact_width=_counting(exact_width, v, fitted))
+    var_partitions(v, tau=0.1, exact_widths=_counting_batched(BATCHED[exact_width], fitted, []))
     _oracle_var_partitions(v, tau=0.1, model_bits=128, exact_width=_counting(exact_width, v, old))
     assert len(fitted) == len(set(fitted))
     assert set(fitted) == set(old)
     assert len(fitted) < len(old)
+
+
+@pytest.mark.parametrize("exact_width", [_linear_width, _delta_width])
+def test_var_partitions_refine_fits_once_per_level(exact_width):
+    """Hardware-neutral counter: the refine phase makes at most one width
+    call per level of the bisection tree.  Every other call is the merge
+    phase's: one call for the final partitions' widths, then one call per
+    candidate merge, of one range each."""
+    v = np.ascontiguousarray(INTEGER_DATASETS["ml"](20_000)[0], dtype=np.int64)
+    fitted, calls, levels = [], [], set()
+    var_partitions(v, tau=0.1, exact_widths=_counting_batched(BATCHED[exact_width], fitted, calls))
+    _oracle_var_partitions(v, tau=0.1, model_bits=128, exact_width=exact_width, levels=levels)
+    batched = [c for c in calls if c > 1]
+    assert levels and sum(batched) > 10 * len(batched)
+    assert len(batched) <= len(levels) + 1

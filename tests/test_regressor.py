@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.for_codec import FORCodec
-from repro.core.leco import _linear_width
+from repro.core.leco import _fit_one
 from repro.core.regressor import LinearModel, LinearRegressor
 
 
@@ -14,7 +14,7 @@ def test_fit_exact_line():
     m = LinearRegressor().fit(v)
     assert m.theta1 == pytest.approx(7.0)
     # exact line → zero-width deltas
-    assert _linear_width(v) <= 1
+    assert _fit_one(v)[3] <= 1
 
 
 def test_fit_single_point():
@@ -73,11 +73,11 @@ def test_predict_vector_matches_scalar():
 
 def test_delta_width_values():
     v = np.array([10, 11, 12, 13])
-    assert _linear_width(v) == 0
+    assert _fit_one(v)[3] == 0
 
 
 def test_negative_slope_fit():
     v = (1000 - 3 * np.arange(100)).astype(np.int64)
     m = LinearRegressor().fit(v)
     assert m.theta1 == pytest.approx(-3.0)
-    assert _linear_width(v) <= 1
+    assert _fit_one(v)[3] <= 1
