@@ -4,6 +4,7 @@ import numpy as np
 from _record import record
 from repro.core.leco import LeCoFix
 from repro.datasets import load_int
+from repro.experiments.micro import weighted_summary
 
 from _shared import micro_rows
 
@@ -21,6 +22,9 @@ def test_fig10_random_access(benchmark):
     # paper §4.3.2: Delta is ~an order of magnitude slower than LeCo-fix
     for ds in ("linear", "books", "fb"):
         assert by[(ds, "Delta-fix")].access_us > 3 * by[(ds, "LeCo-fix")].access_us
+    # paper §4.3.2: LeCo-var's access adds only a metadata search to LeCo-fix's
+    summary = weighted_summary(rows)
+    assert summary["LeCo-var"]["access_us"] < 2 * summary["LeCo-fix"]["access_us"]
     v, bits = load_int("books", 100_000)
     enc = LeCoFix().encode(v, dtype_bits=bits)
     codec = LeCoFix()

@@ -178,7 +178,10 @@ def unpack_rows(buf: bytes, offsets: np.ndarray, count: int, widths: np.ndarray)
 
     Row ``k`` equals ``unpack(buf, widths[k], count, offsets[k] * 8)``.  All
     rows of one width are unpacked together, in blocks of at most
-    ``_BLOCK_VALUES`` values.
+    ``_BLOCK_VALUES`` values.  A width group of consecutive rows that lie
+    back to back in ``buf``, as an encoder's table does, is read as one
+    ``(g, bytes)`` slice into a slice of the block; other groups (a parsed
+    blob has headers between its payloads) gather their rows' bytes.
     """
     off = np.asarray(offsets, dtype=np.int64).reshape(-1)
     w_all = np.asarray(widths, dtype=np.int64).reshape(-1)
@@ -186,23 +189,29 @@ def unpack_rows(buf: bytes, offsets: np.ndarray, count: int, widths: np.ndarray)
         raise ValueError(f"{len(off)} offsets but {len(w_all)} widths")
     if len(w_all) and not (0 <= w_all.min() and w_all.max() <= 64):
         raise ValueError(f"width must be in [0, 64], got {w_all.min()}..{w_all.max()}")
-    out = np.zeros((len(w_all), count), dtype=np.uint64)
+    out = np.empty((len(w_all), count), dtype=np.uint64)
+    out[w_all == 0] = 0
     if count == 0:
         return out
     raw = np.frombuffer(buf, dtype=np.uint8)
     rows_per_block = max(1, _BLOCK_VALUES // count)
     seg = min(count, _BLOCK_VALUES)
-    for w in np.unique(w_all).tolist():
-        if w == 0:
-            continue
+    for w in np.unique(w_all[w_all > 0]).tolist():
         ks = np.flatnonzero(w_all == w)
+        size = packed_size(count, w)
+        tight = ks[-1] - ks[0] == len(ks) - 1 and (np.diff(off[ks]) == size).all()
         for r in range(0, len(ks), rows_per_block):
             kb = ks[r : r + rows_per_block]
+            if tight:  # back to back: a slice in, a slice out
+                a = int(off[kb[0]])
+                rows = raw[a : a + len(kb) * size].reshape(len(kb), size)
+                kb = slice(int(kb[0]), int(kb[0]) + len(kb))
+            else:
+                rows = raw[off[kb, None] + np.arange(size)]
             for c in range(0, count, seg):
                 s = min(seg, count - c)
-                src = off[kb, None] + c * w // 8 + np.arange(packed_size(s, w))
-                bits = np.unpackbits(raw[src], axis=1)[:, : s * w]
-                out[kb, c : c + s] = _from_bits(bits, w).reshape(len(kb), s)
+                bits = np.unpackbits(rows[:, c * w // 8 : c * w // 8 + packed_size(s, w)], axis=1)
+                out[kb, c : c + s] = _from_bits(bits[:, : s * w], w).reshape(-1, s)
     return out
 
 

@@ -32,6 +32,7 @@ length is what every compression-ratio measurement reports.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -152,12 +153,23 @@ class EncodedSequence:
     def ratio(self) -> float:
         return self.nbytes() / self.raw_bytes()
 
+    @cached_property
+    def start_list(self) -> list[int]:
+        """The partition starts as a Python list, built on first use: the
+        scalar locator bisects it without a numpy scalar per read."""
+        return self.starts.tolist()
+
     def partition_of(self, i: int) -> tuple[int, int]:
-        """Return ``(partition_index, local_offset)`` for global position ``i``."""
+        """Return ``(partition_index, local_offset)`` for global position ``i``:
+        ``divmod`` for a fixed-length layout, one bisection of
+        :attr:`start_list` otherwise.  Raises ``IndexError`` outside ``[0, n)``."""
+        if not 0 <= i < self.n:
+            raise IndexError(f"position {i} outside [0, {self.n})")
         if self.fixed_len is not None:
             return divmod(i, self.fixed_len)
-        k = self.starts.searchsorted(i, side="right").item() - 1
-        return k, i - self.starts.item(k)
+        starts = self.start_list
+        k = bisect_right(starts, i) - 1
+        return k, i - starts[k]
 
     def value_bounds(self) -> tuple[list[int], list[int]]:
         """Per-partition ``[lo, hi]`` bounds on the stored values, from the

@@ -5,7 +5,7 @@
 store, per partition, a bias-folded linear model (see ``core/format.py``) and
 a bit-packed unsigned delta array, giving O(1) random access:
 
-    partition = i // L   (fix)  |  searchsorted(starts, i)   (var)
+    partition = i // L   (fix)  |  bisect(starts, i)   (var)
     v = floor(θ0 + θ1·i') + bias + delta[i']
 
 FOR is the θ0 = θ1 = 0 case of the same layout, so FOR shares this module's
@@ -381,7 +381,12 @@ class _LeCoBase:
         return _value_at(enc.partitions, k, off)
 
     def decode_range(self, enc: EncodedSequence, start: int, stop: int) -> np.ndarray:
-        """Decode global positions ``[start, stop)`` touching only the needed partitions."""
+        """Decode global positions ``[start, stop)`` touching only the needed
+        partitions; raises ``IndexError`` unless ``0 ≤ start ≤ stop ≤ n``."""
+        if not 0 <= start <= stop <= enc.n:
+            raise IndexError(f"range [{start}, {stop}) outside [0, {enc.n}]")
+        if start == stop:
+            return np.empty(0, dtype=np.int64)
         t = enc.partitions
         ks, offs = enc.partition_of(start)
         ke, offe = enc.partition_of(stop - 1)

@@ -252,6 +252,30 @@ def test_unpack_rows_inverts_pack_rows(data):
         assert np.array_equal(got[k], unpack(buf, widths[order[k]], count, int(offsets[order[k]]) * 8))
 
 
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_unpack_rows_back_to_back_rows(data):
+    """Rows packed back to back in table order, as an encoder's table holds
+    them: runs of one width (a width group of consecutive rows, read as
+    slices) mixed with width-0 rows and other widths, rows split across
+    blocks.  Every row equals its own ``unpack``."""
+    runs = data.draw(st.lists(st.tuples(st.integers(0, 64), st.integers(1, 5)), min_size=1, max_size=4))
+    widths = [w for w, r in runs for _ in range(r)]
+    count = data.draw(st.integers(1, 40))
+    block = data.draw(st.sampled_from([8, 16, 64, bitpack._BLOCK_VALUES]))
+    g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = g.integers(0, 2**64 - 1, (len(widths), count), dtype=np.uint64, endpoint=True)
+    rows &= np.array([(1 << w) - 1 for w in widths], dtype=np.uint64)[:, None]
+    buf = pack_rows(rows.reshape(-1), [count] * len(widths), widths)
+    sizes = bitpack.packed_size(count, np.array(widths))
+    offsets = np.cumsum(sizes) - sizes
+    with mock.patch.object(bitpack, "_BLOCK_VALUES", block):
+        got = unpack_rows(buf, offsets, count, np.array(widths))
+    assert np.array_equal(got, rows)
+    for k, w in enumerate(widths):
+        assert np.array_equal(got[k], unpack(buf, w, count, int(offsets[k]) * 8))
+
+
 def test_unpack_rows_from_a_serialized_table():
     """Offsets and widths read back from a blob give each full partition's
     stored deltas, bit for bit what the encoder's fit stored."""

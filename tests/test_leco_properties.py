@@ -2,9 +2,14 @@
 model inference, and paper-claimed dominance properties."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.baselines.delta_codec import DeltaFix, DeltaVar
+from repro.baselines.for_codec import FORCodec
 from repro.core.format import EncodedSequence, PARTITION_HEADER_BYTES
 from repro.core.leco import LeCoFix, LeCoVar
+from repro.core.pla import LeCoAngle
 from repro.datasets import INTEGER_DATASETS
 
 
@@ -83,6 +88,69 @@ def test_var_partition_of():
         k, off = enc.partition_of(i)
         assert starts[k] <= i < starts[k + 1]
         assert off == i - starts[k]
+
+
+def _column(seed: int, n: int) -> np.ndarray:
+    """A random walk with occasional jumps: several variable-length partitions."""
+    g = np.random.default_rng(seed)
+    steps = g.integers(0, 50, n) + np.where(g.random(n) < 0.02, g.integers(-(10**6), 10**6, n), 0)
+    return np.cumsum(steps).astype(np.int64)
+
+
+_LAYOUTS = {
+    "LeCo-fix": lambda: LeCoFix(16),
+    "FOR": lambda: FORCodec(16),
+    "LeCo-var": LeCoVar,
+    "Delta-var": DeltaVar,
+    "LeCo-angle": lambda: LeCoAngle(4),
+}
+
+
+@given(st.sampled_from(sorted(_LAYOUTS)), st.integers(0, 2**32 - 1), st.integers(1, 600))
+@settings(max_examples=60, deadline=None)
+def test_partition_of_matches_searchsorted(layout, seed, n):
+    """The locator equals numpy's ``searchsorted`` on the starts, and
+    ``access`` equals the full decode, at both ends, every start and the
+    position before it."""
+    v = _column(seed, n)
+    codec = _LAYOUTS[layout]()
+    enc = codec.encode(v)
+    starts = enc.starts.astype(np.int64)
+    where = np.unique(np.r_[0, n - 1, starts, starts[1:] - 1])
+    out = codec.decode(enc)
+    assert np.array_equal(out, v)
+    for i in where.tolist():
+        k = int(np.searchsorted(starts, i, side="right")) - 1
+        assert enc.partition_of(i) == (k, i - int(starts[k]))
+        assert codec.access(enc, i) == out[i]
+
+
+@pytest.mark.parametrize("make", [FORCodec, LeCoFix, LeCoVar, lambda: LeCoAngle(4), DeltaFix, DeltaVar])
+def test_access_out_of_range_raises(make):
+    """A read outside ``[0, n)`` raises instead of returning another
+    position's value; ``decode_range`` takes ``0 ≤ start ≤ stop ≤ n``."""
+    v = np.cumsum(np.random.default_rng(0).integers(0, 100, 1000)).astype(np.int64)
+    codec = make()
+    enc = codec.encode(v)
+    assert codec.access(enc, 0) == v[0] and codec.access(enc, 999) == v[999]
+    for i in (-1, 1000, 10**6):
+        with pytest.raises(IndexError):
+            codec.access(enc, i)
+    if hasattr(codec, "decode_range"):
+        for a, b in ((990, 1005), (10, 3), (-1, 5)):
+            with pytest.raises(IndexError):
+                codec.decode_range(enc, a, b)
+        for a in (0, 500, 1000):
+            got = codec.decode_range(enc, a, a)
+            assert got.dtype == np.int64 and len(got) == 0
+        assert np.array_equal(codec.decode_range(enc, 990, 1000), v[990:])
+
+
+def test_empty_sequence_has_no_position():
+    enc = LeCoVar().encode(np.empty(0, dtype=np.int64))
+    with pytest.raises(IndexError):
+        enc.partition_of(0)
+    assert len(LeCoVar().decode_range(enc, 0, 0)) == 0
 
 
 def test_bad_scheme_name():
