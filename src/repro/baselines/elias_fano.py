@@ -79,6 +79,8 @@ class EliasFano:
         return enc.base + (highs << enc.l) + lows
 
     def access(self, enc: EFEncoded, i: int) -> int:
+        if not 0 <= i < enc.n:
+            raise IndexError(f"position {i} outside [0, {enc.n})")
         # select1(i): rank directory → 64-byte chunk, then byte scan.
         c = int(np.searchsorted(enc.rank_dir, i + 1, side="left")) - 1
         count = int(enc.rank_dir[c])

@@ -160,6 +160,7 @@ def fit_ranges(v: np.ndarray, starts, stops):
     theta0, theta1, bias, width = (np.empty(len(n), t) for t in (float, float, np.int64, np.int64))
     stored = np.empty(int(n.sum()), dtype=np.int64)
     ks = np.flatnonzero(short)
+    ks = ks[np.argsort(n[ks], kind="stable")]  # a block of similar lengths pads little
     for k in (ks[c : c + _BLOCK_ROWS] for c in range(0, len(ks), _BLOCK_ROWS)):
         fit, inside = _fit_short(v, a[k], n[k])
         theta0[k], theta1[k], bias[k], width[k], block = fit
@@ -311,9 +312,12 @@ def access_many(enc: EncodedSequence, positions) -> np.ndarray:
     or FOR sequence, in one vectorized pass of §3.3's Decoder: each value
     is one model inference plus one delta read from the 9-byte big-endian
     window at bit ``payload_off·8 + i·width``, with the prediction computed
-    exactly as :func:`_decode_partition` computes it."""
+    exactly as :func:`_decode_partition` computes it.  Raises ``IndexError``
+    for a position outside ``[0, n)``."""
     t = enc.partitions
     p = np.asarray(positions, dtype=np.int64)
+    if p.size and not 0 <= int(p.min()) <= int(p.max()) < enc.n:
+        raise IndexError(f"positions {int(p.min())} … {int(p.max())} not all in [0, {enc.n})")
     k = np.searchsorted(enc.starts, p, side="right") - 1
     i = p - enc.starts[k]
     w = t.width[k].astype(np.int64)

@@ -104,9 +104,41 @@ def search_fixed_length(values: np.ndarray, cost_of: Callable[[np.ndarray, int],
     return int(best_l)
 
 
-#: first block of first differences the split phase scans per partition;
-#: a block with no cut grows ×4 and is scanned again.
+#: first differences the split phase walks per partition as Python ints;
+#: a partition that outgrows them is scanned in numpy blocks from its
+#: start, ×4 larger each time no cut is found.
 _SPLIT_BLOCK = 64
+
+
+def _scalar_cut(d: list[int], threshold: float) -> int | None:
+    """Offset from a partition's start of its first cut among its first
+    differences ``d`` (Python ints), or None."""
+    # entry j adds value j + 1, whose partition then holds j + 2 values;
+    # the first MIN_PARTITION − 1 join unconditionally
+    hi, lo = max(d[: MIN_PARTITION - 1]), min(d[: MIN_PARTITION - 1])
+    w = (hi - lo).bit_length()
+    for j in range(MIN_PARTITION - 1, len(d)):
+        x = d[j]
+        if x > hi:
+            hi, w_new = x, (x - lo).bit_length()
+        elif x < lo:
+            lo, w_new = x, (hi - x).bit_length()
+        else:
+            w_new = w
+        if (j + 2) * w_new - (j + 1) * w > threshold:
+            return j + 1
+        w = w_new
+    return None
+
+
+def _block_cut(d: np.ndarray, threshold: float) -> int | None:
+    """:func:`_scalar_cut` of the int64 block ``d`` in one vectorized step,
+    the running max/min spread read as uint64: exact over all of int64."""
+    w = bits_needed_vec(np.maximum.accumulate(d) - np.minimum.accumulate(d))
+    ln = np.arange(MIN_PARTITION, len(d) + 1)  # partition length before each candidate
+    cost = (ln + 1) * w[MIN_PARTITION - 1 :] - ln * w[MIN_PARTITION - 2 : -1]
+    cut = np.flatnonzero(cost > threshold)
+    return MIN_PARTITION + int(cut[0]) if len(cut) else None
 
 
 def _split(d: np.ndarray, threshold: float) -> list[int]:
@@ -115,33 +147,59 @@ def _split(d: np.ndarray, threshold: float) -> list[int]:
     ``threshold``; the first value with ``C > threshold`` starts a new one.
 
     ``d`` holds the (wrapping int64) first differences.  Each partition's
-    running max/min of ``d`` is taken over a block at a time, so every
-    candidate cost of the block is evaluated in one vectorized step; the
-    spread is read as uint64, exact over the full int64 range."""
-    starts = [0]
-    p, size = 0, _SPLIT_BLOCK
-    lens = np.arange(MIN_PARTITION, len(d) + 2)  # partition length before each candidate
-    while len(d) - p >= MIN_PARTITION:
-        blk = d[p : p + size]
-        w = bits_needed_vec(np.maximum.accumulate(blk) - np.minimum.accumulate(blk))
-        # entry i of the block adds value p + 1 + i, whose partition then
-        # holds i + 2 values; the first MIN_PARTITION - 1 join unconditionally
-        ln = lens[: len(blk) - MIN_PARTITION + 1]
-        cost = (ln + 1) * w[MIN_PARTITION - 1 :] - ln * w[MIN_PARTITION - 2 : -1]
-        cut = np.flatnonzero(cost > threshold)
-        if len(cut):
-            p += MIN_PARTITION + int(cut[0])
-            starts.append(p)
-            size = _SPLIT_BLOCK
-        elif p + size >= len(d):
-            break
-        else:
+    first ``_SPLIT_BLOCK`` are walked as Python ints, where the spread
+    ``hi − lo`` is exact; a longer partition is scanned in blocks."""
+    starts, p, n = [0], 0, len(d)
+    while n - p >= MIN_PARTITION:
+        size = _SPLIT_BLOCK
+        cut = _scalar_cut(d[p : p + size].tolist(), threshold)
+        while cut is None and p + size < n:
             size *= 4
+            cut = _block_cut(d[p : p + size], threshold)
+        if cut is None:
+            break
+        p += cut
+        starts.append(p)
     return starts
 
 
 #: at most this many merge passes (a fixpoint usually comes sooner)
 _MAX_MERGE_PASSES = 8
+
+#: longest candidate a merge pass fits ahead of its walk; a longer one
+#: costs a fit of its own in the width callback anyway
+_SPECULATE_LEN = 128
+
+
+def _merges(a: int, b: int, c: int, w_ab: int, w_bc: int, w_ac: int) -> bool:
+    """The merge rule: ``v[a:b]`` and ``v[b:c]`` become one partition when
+    that is no larger than the two apart."""
+    return MODEL_BITS + (c - a) * w_ac <= 2 * MODEL_BITS + (b - a) * w_ab + (c - b) * w_bc
+
+
+def _speculate(bounds: list[int], widths: list[int], memo: dict, fit: Callable[[list], None]) -> None:
+    """Fit ahead, in a few batched ``fit`` calls, the candidates a merge pass
+    over ``bounds`` will most likely ask for.  The pass merges partition
+    ``k`` with its right neighbours while the rule holds, then starts over
+    from the first one it refused.  Here every partition starts such a
+    chain, and all chains advance in lockstep, one candidate each per
+    round; a chain stops at its first refusal or at a candidate longer than
+    ``_SPECULATE_LEN`` values, and one whose first partition a live chain to
+    its left has absorbed is dropped, as the pass would not start there.
+    The pass itself is not changed: it reads these widths from ``memo`` and
+    fits any candidate missed here."""
+    last = len(widths) - 1
+    chains = [(k, k, widths[k]) for k in range(last)]  # (first partition, last partition, width)
+    while chains:
+        chains = [(s, e, w) for s, e, w in chains if e < last and bounds[e + 2] - bounds[s] <= _SPECULATE_LEN]
+        fit([(bounds[s], bounds[e + 2]) for s, e, _ in chains])
+        live, reach = [], -1
+        for s, e, w in chains:
+            a, b, c = bounds[s], bounds[e + 1], bounds[e + 2]
+            if s > reach and _merges(a, b, c, w, widths[e + 1], memo[a, c]):
+                live.append((s, e + 1, memo[a, c]))
+                reach = e + 1
+        chains = live
 
 
 def var_partitions(
@@ -203,14 +261,13 @@ def var_partitions(
     fit(list(zip(bounds[:-1], bounds[1:])))
     widths = [memo[r] for r in zip(bounds[:-1], bounds[1:])]
     for _ in range(_MAX_MERGE_PASSES):
+        _speculate(bounds, widths, memo, fit)
         merged_any = False
         k = 0
         while k + 1 < len(widths):
             a, b, c = bounds[k], bounds[k + 1], bounds[k + 2]
             w_m = width(a, c)
-            merged = MODEL_BITS + (c - a) * w_m
-            separate = 2 * MODEL_BITS + (b - a) * widths[k] + (c - b) * widths[k + 1]
-            if merged <= separate:
+            if _merges(a, b, c, widths[k], widths[k + 1], w_m):
                 del bounds[k + 1]
                 widths[k : k + 2] = [w_m]
                 merged_any = True

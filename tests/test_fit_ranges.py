@@ -1,16 +1,96 @@
 """The batched fits of the variable-length layout must equal their one-range
 forms bit for bit: ``fit_ranges`` against ``_fit_one`` (which stays the
 oracle), ``_row_sums`` against ``np.sum``, and Delta's ``reduceat`` widths
-and fit against ``_delta_width`` and a one-range fit kept here."""
+and fit against ``_delta_width`` and a one-range fit kept here.  The
+one-range fit itself (``_fit_one`` through ``LinearRegressor.fit``) must
+equal the straightforward form kept here as its oracle."""
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.delta_codec import _WIDE_BIAS, _delta_fit_var, _delta_width, _delta_widths
 from repro.core.bitpack import bits_needed
-from repro.core.leco import _fit_one, _linear_widths, _row_sums, fit_ranges
+from repro.core.leco import _SAFE, _fit_one, _linear_widths, _row_sums, fit_ranges
+from repro.core.regressor import LinearModel, LinearRegressor, centered, positions
 
 I64_MIN, I64_MAX = -(2**63), 2**63 - 1
+
+
+def _oracle_regressor_fit(values):
+    """``LinearRegressor.fit`` as first written: a fresh array per step."""
+    v = np.asarray(values, dtype=np.float64)
+    n = len(v)
+    if n == 1:
+        return LinearModel(float(v[0]), 0.0)
+    i = positions(n)
+    ibar = (n - 1) / 2.0
+    vbar = v.sum() / n
+    c = i - ibar
+    theta1 = float((c * (v - vbar)).sum()) / float((c * c).sum())
+    theta0 = vbar - theta1 * ibar
+    deltas = np.asarray(values, dtype=np.int64) - np.floor(theta0 + theta1 * i).astype(np.int64)
+    shift = (float(deltas.max()) + float(deltas.min())) / 2.0
+    return LinearModel(theta0 + shift, theta1)
+
+
+def _oracle_fit_one(values):
+    """``_fit_one`` as first written: the Regressor, then its prediction."""
+    v = np.asarray(values, dtype=np.int64)
+    lo, hi = int(v.min()), int(v.max())
+    w_const = (hi - lo).bit_length()
+    if max(-lo, hi) < _SAFE:
+        model = _oracle_regressor_fit(v)
+        t0, t1 = model.theta0, model.theta1
+        if max(abs(math.floor(t0)), abs(math.floor(t0 + t1 * (len(v) - 1)))) < _SAFE:
+            deltas = v - np.floor(t0 + t1 * positions(len(v))).astype(np.int64)
+            dlo = int(deltas.min())
+            w_lin = (int(deltas.max()) - dlo).bit_length()
+            if w_lin <= w_const:
+                return t0, t1, dlo, w_lin, deltas
+    c0 = float(lo) if float(lo) < 2.0**63 else 0.0
+    return c0, 0.0, lo - int(c0), w_const, v - int(c0)
+
+
+@st.composite
+def fit_values(draw):
+    """One partition of 1–3,000 values or one beyond the cached positions
+    (2^16): full-range values, constant runs, sorted runs, ±2^62 edges."""
+    n = draw(st.one_of(st.integers(1, 3000), st.sampled_from([65_537, 70_001])))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["any", "constant", "sorted", "edge"]))
+    if kind == "any":
+        return g.integers(I64_MIN, I64_MAX, n, endpoint=True, dtype=np.int64)
+    if kind == "constant":
+        return np.full(n, draw(st.integers(I64_MIN, I64_MAX)), dtype=np.int64)
+    if kind == "sorted":
+        steps = g.poisson(draw(st.sampled_from([0.1, 5.0, 1e6])), n)
+        return draw(st.integers(-(2**61), 2**61)) + np.cumsum(steps)
+    edges = [-(2**62) - 1, -(2**62), -(2**62) + 1, 0, 2**62 - 1, 2**62, 2**62 + 1]
+    return g.choice(np.array(edges + [I64_MIN, I64_MAX]), n)
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@given(v=fit_values())
+@settings(max_examples=300, deadline=None)
+def test_fit_one_is_its_oracle(v):
+    """θ0 and θ1 as bytes, bias, width and deltas, and the Regressor's model."""
+    got, want = _fit_one(v), _oracle_fit_one(v)
+    assert (_bits(got[0]), _bits(got[1])) == (_bits(want[0]), _bits(want[1]))
+    assert got[2:4] == want[2:4] and got[4].tolist() == want[4].tolist()
+    if max(-int(v.min()), int(v.max())) < _SAFE:
+        m, o = LinearRegressor().fit(v), _oracle_regressor_fit(v)
+        assert (_bits(m.theta0), _bits(m.theta1)) == (_bits(o.theta0), _bits(o.theta1))
+
+
+def test_centered_is_positions_minus_mean():
+    g = np.random.default_rng(7)
+    for n in [1, 2, 3, 4, 65_535, 65_536, 65_537, 70_001, *g.integers(1, 65_536, 200).tolist()]:
+        assert centered(n).tobytes() == (positions(n) - (n - 1) / 2.0).tobytes()
 
 _FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0]),

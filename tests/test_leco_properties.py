@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.delta_codec import DeltaFix, DeltaVar
+from repro.baselines.elias_fano import EliasFano
 from repro.baselines.for_codec import FORCodec
 from repro.core.format import EncodedSequence, PARTITION_HEADER_BYTES
-from repro.core.leco import LeCoFix, LeCoVar
+from repro.core.leco import LeCoFix, LeCoVar, access_many
 from repro.core.pla import LeCoAngle
 from repro.datasets import INTEGER_DATASETS
+from repro.parquet_sim.encodings import TAG_SEQ, gather_positions
 
 
 def test_partition_encoding_invariants():
@@ -125,10 +127,13 @@ def test_partition_of_matches_searchsorted(layout, seed, n):
         assert codec.access(enc, i) == out[i]
 
 
-@pytest.mark.parametrize("make", [FORCodec, LeCoFix, LeCoVar, lambda: LeCoAngle(4), DeltaFix, DeltaVar])
+@pytest.mark.parametrize(
+    "make", [FORCodec, LeCoFix, LeCoVar, lambda: LeCoAngle(4), DeltaFix, DeltaVar, EliasFano]
+)
 def test_access_out_of_range_raises(make):
     """A read outside ``[0, n)`` raises instead of returning another
-    position's value; ``decode_range`` takes ``0 ≤ start ≤ stop ≤ n``."""
+    position's value, one at a time or (FOR and LeCo layouts) many at once;
+    ``decode_range`` takes ``0 ≤ start ≤ stop ≤ n``."""
     v = np.cumsum(np.random.default_rng(0).integers(0, 100, 1000)).astype(np.int64)
     codec = make()
     enc = codec.encode(v)
@@ -136,6 +141,14 @@ def test_access_out_of_range_raises(make):
     for i in (-1, 1000, 10**6):
         with pytest.raises(IndexError):
             codec.access(enc, i)
+    if isinstance(enc, EncodedSequence) and not enc.scheme.startswith("Delta"):
+        blob = bytes([TAG_SEQ]) + enc.to_bytes()
+        for read in (lambda p: access_many(enc, p), lambda p: gather_positions(blob, p)):
+            assert np.array_equal(read(np.array([999, 0, 500])), v[[999, 0, 500]])
+            assert len(read(np.empty(0, dtype=np.int64))) == 0
+            for p in ([-1], [1000], [-1, 1000, 1500], [0, 5, 10**6]):
+                with pytest.raises(IndexError):
+                    read(np.array(p))
     if hasattr(codec, "decode_range"):
         for a, b in ((990, 1005), (10, 3), (-1, 5)):
             with pytest.raises(IndexError):
