@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.bitpack import bits_needed, bits_needed_vec, unpack
+from ..core.bitpack import bits_needed, bits_needed_vec, unpack_rows
 from ..core.format import EncodedSequence, PartitionTable
-from ..core.leco import decode_table, encode_fixed, encode_var
+from ..core.leco import encode_fixed, encode_var
 from ..core.partitioner import var_partitions
 
 #: a difference bias at or below this is not exact in the float θ1
@@ -85,31 +85,30 @@ def _delta_fit(rows: np.ndarray, L: int | None = None):
     return np.zeros(len(rows)), dbias.astype(np.float64), rows[:, 0], width, d - dbias[:, None]
 
 
+def _decode_prefixes(t: PartitionTable, ks, counts) -> np.ndarray:
+    """The first ``counts[r]`` (≥ 1) values of partitions ``ks[r]``, back to
+    back: ``counts − 1`` differences from one ``unpack_rows`` call, summed by
+    one segmented ``cumsum`` (a zero opens each partition, whose first value
+    is added less the sum before it) that wraps in int64 as a row-wise one does."""
+    ks, n = np.asarray(ks, dtype=np.int64), np.asarray(counts, dtype=np.int64)
+    m = n - 1
+    d = unpack_rows(t.payload, t.payload_off[ks], m, t.width[ks]).view(np.int64)
+    c = np.cumsum(np.insert(d + np.repeat(t.theta1[ks].astype(np.int64), m), np.cumsum(m) - m, 0))
+    c += np.repeat(t.bias[ks] - c[np.cumsum(n) - n], n)
+    return c
+
+
 def _decode_partition(t: PartitionTable, k: int, upto: int | None = None) -> np.ndarray:
-    """Sequentially reconstruct the first ``upto`` values of partition ``k``,
-    unpacking only the ``upto − 1`` differences they need."""
-    _, dbias, v0, w, off, n = t.access_rows[k]
-    upto = n if upto is None else upto
-    if upto <= 1:
-        return np.array([v0], dtype=np.int64)[:upto]
-    d = unpack(t.payload, w, upto - 1, off * 8).view(np.int64) + int(dbias)
-    return np.concatenate(([v0], v0 + np.cumsum(d)))
-
-
-def _decode_rows(t: PartitionTable, stored: np.ndarray, k: int = 0) -> np.ndarray:
-    """Partitions ``k .. k+g−1`` from their ``(g, L − 1)`` stored
-    differences: :func:`_decode_partition`'s prefix sum, row-wise."""
-    g = len(stored)
-    v0 = t.bias[k : k + g, None]
-    d = stored + t.theta1[k : k + g, None].astype(np.int64)
-    return np.concatenate([v0, v0 + np.cumsum(d, axis=1)], axis=1)
+    """The first ``upto`` (≥ 1) values of partition ``k``: one :func:`_decode_prefixes` row."""
+    return _decode_prefixes(t, [k], [t.n[k] if upto is None else upto])
 
 
 class _DeltaBase:
     supports_random_access = False  # access is O(partition prefix)
 
     def decode(self, enc: EncodedSequence) -> np.ndarray:
-        return decode_table(enc, _decode_partition, _decode_rows)
+        t = enc.partitions
+        return _decode_prefixes(t, np.arange(len(t)), t.n)
 
     def access(self, enc: EncodedSequence, i: int) -> int:
         k, off = enc.partition_of(i)

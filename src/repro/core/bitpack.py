@@ -9,10 +9,11 @@ fixed-width layout the paper's θ0-tweak approximates (see DESIGN.md §2).
 Two families of helpers:
 
 * numpy path (widths 0..64): ``pack_rows`` packs ragged rows (one per
-  partition) in groups of eight values, a few vectorized calls per
-  distinct width, and ``unpack_rows`` reads equal-length rows back;
-  ``pack``/``unpack`` handle one array and ``extract`` reads one value in
-  O(1).
+  partition) and ``unpack_rows`` reads any such rows back, from any byte
+  offsets, both in groups of eight values that fill exactly ``width``
+  bytes, with one eight-lane kernel call per distinct width;
+  ``pack``/``unpack`` are their one-row cases and ``extract`` reads one
+  value in O(1).
 * big-int path (arbitrary widths, for the string extension §3.4 where
   mapped integers exceed 64 bits): pure-Python over ``int``.
 """
@@ -47,13 +48,6 @@ def bits_needed(max_value: int) -> int:
 
 
 _POW2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
-#: bit weights, most significant first: a ``width``-bit code's are the last ``width``
-_WEIGHTS = _POW2[::-1].copy()
-
-#: values per ``unpack_rows`` step; bounds a step's bit matrix (a byte per
-#: bit, at most 64 per value) to 4 MiB.  A multiple of 8, so a row split at
-#: a block edge stays byte-aligned.
-_BLOCK_VALUES = 1 << 16
 
 
 def bits_needed_vec(spread: np.ndarray) -> np.ndarray:
@@ -77,13 +71,6 @@ def _as_u64(values) -> np.ndarray:
     """Values as uint64; signed input is read as its two's complement."""
     v = np.asarray(values)
     return v if v.dtype == np.uint64 else v.astype(np.int64, copy=False).view(np.uint64)
-
-
-def _from_bits(bits: np.ndarray, width: int) -> np.ndarray:
-    """The ``width``-bit codes laid back to back in the bit array ``bits``
-    (0/1 bytes, most significant first) as uint64: each code's bits dotted
-    with the last ``width`` weights of ``_WEIGHTS``."""
-    return bits.reshape(-1, width).astype(np.uint64) @ _WEIGHTS[64 - width :]
 
 
 def _lanes(values: np.ndarray, counts: np.ndarray, groups: np.ndarray) -> np.ndarray:
@@ -171,48 +158,62 @@ def pack_rows(values: np.ndarray, counts, widths) -> bytes:
     return out[: int(sizes.sum())].tobytes()
 
 
-def unpack_rows(buf: bytes, offsets: np.ndarray, count: int, widths: np.ndarray) -> np.ndarray:
-    """Reads back rows of one length that :func:`pack_rows` packed: the
-    ``(g, count)`` uint64 block whose row ``k`` holds the ``count`` values
-    packed at ``widths[k]`` bits from byte ``offsets[k]`` of ``buf``.
+def _unpack_lanes(words: np.ndarray, width: int, lanes: np.ndarray) -> None:
+    """Inverse of :func:`_pack_lanes`, lane-major: ``lanes[j, g]`` is value
+    ``j`` of group ``g`` from its native 64-bit ``words[:, g]`` (``width >
+    0``): bit ``j·width`` on shifted to the top, or'ed with the next word's
+    bits when it crosses into it, then shifted down."""
+    for j in range(8):
+        q, o = divmod(j * width, 64)
+        lane = lanes[j]
+        np.left_shift(words[q], np.uint64(o), out=lane)
+        if o + width > 64:
+            lane |= words[q + 1] >> np.uint64(64 - o)
+        lane >>= np.uint64(64 - width)
 
-    Row ``k`` equals ``unpack(buf, widths[k], count, offsets[k] * 8)``.  All
-    rows of one width are unpacked together, in blocks of at most
-    ``_BLOCK_VALUES`` values.  A width group of consecutive rows that lie
-    back to back in ``buf``, as an encoder's table does, is read as one
-    ``(g, bytes)`` slice into a slice of the block; other groups (a parsed
-    blob has headers between its payloads) gather their rows' bytes.
-    """
-    off = np.asarray(offsets, dtype=np.int64).reshape(-1)
-    w_all = np.asarray(widths, dtype=np.int64).reshape(-1)
-    if len(off) != len(w_all):
-        raise ValueError(f"{len(off)} offsets but {len(w_all)} widths")
-    if len(w_all) and not (0 <= w_all.min() and w_all.max() <= 64):
-        raise ValueError(f"width must be in [0, 64], got {w_all.min()}..{w_all.max()}")
-    out = np.empty((len(w_all), count), dtype=np.uint64)
-    out[w_all == 0] = 0
-    if count == 0:
-        return out
+
+def unpack_rows(buf: bytes, offsets, counts, widths) -> np.ndarray:
+    """Inverse of :func:`pack_rows`: the rows back to back as uint64; row
+    ``k`` is ``counts[k]`` values packed at ``widths[k]`` bits from byte
+    ``offsets[k]`` of ``buf``.  Rows are read in groups of eight values
+    (``width`` bytes): one :func:`_unpack_lanes` call per width fills a lane
+    matrix sorted by width, which is put back in row order and trimmed of
+    pad lanes once.  A width's groups are one strided view when they lie
+    back to back (an encoder's table), else gathered.  Pad lanes may read
+    past their row, and past ``buf`` as zeros; a row whose bytes do not lie
+    inside ``buf`` raises ``ValueError``."""
+    off, n, w = (np.asarray(x, dtype=np.int64).reshape(-1) for x in (offsets, counts, widths))
+    if not len(off) == len(n) == len(w):
+        raise ValueError(f"{len(off)} offsets, {len(n)} counts and {len(w)} widths")
+    if not 0 <= w.min(initial=0) <= w.max(initial=0) <= 64:
+        raise ValueError(f"width must be in [0, 64], got {w.min()}..{w.max()}")
     raw = np.frombuffer(buf, dtype=np.uint8)
-    rows_per_block = max(1, _BLOCK_VALUES // count)
-    seg = min(count, _BLOCK_VALUES)
-    for w in np.unique(w_all[w_all > 0]).tolist():
-        ks = np.flatnonzero(w_all == w)
-        size = packed_size(count, w)
-        tight = ks[-1] - ks[0] == len(ks) - 1 and (np.diff(off[ks]) == size).all()
-        for r in range(0, len(ks), rows_per_block):
-            kb = ks[r : r + rows_per_block]
-            if tight:  # back to back: a slice in, a slice out
-                a = int(off[kb[0]])
-                rows = raw[a : a + len(kb) * size].reshape(len(kb), size)
-                kb = slice(int(kb[0]), int(kb[0]) + len(kb))
-            else:
-                rows = raw[off[kb, None] + np.arange(size)]
-            for c in range(0, count, seg):
-                s = min(seg, count - c)
-                bits = np.unpackbits(rows[:, c * w // 8 : c * w // 8 + packed_size(s, w)], axis=1)
-                out[kb, c : c + s] = _from_bits(bits[:, : s * w], w).reshape(-1, s)
-    return out
+    # a count is clipped to one no row of the buffer can hold, so that n·width cannot overflow
+    end = off + packed_size(np.minimum(n, 8 * len(raw) + 8), w)
+    if min(n.min(initial=0), off.min(initial=0)) < 0 or end.max(initial=0) > len(raw):
+        raise ValueError(f"rows of counts {n.tolist()[:4]}… do not lie inside the {len(raw)}-byte buffer")
+    groups = (n + 7) // 8
+    gw = np.repeat(w, groups)
+    at = np.repeat(off - (np.cumsum(groups) - groups) * w, groups) + np.arange(len(gw)) * gw
+    if at.max(initial=0) > len(raw) - 64:  # words may run past the buffer: read zeros there
+        lo = int(at.min(initial=0))
+        raw, at = np.concatenate([raw[lo:], np.zeros(64, dtype=np.uint8)]), at - lo
+    order = np.argsort(gw.astype(np.uint8), kind="stable")  # by width, each width's in row order
+    gw, at = gw[order], at[order]
+    lanes = np.zeros((8, len(gw)), dtype=np.uint64)
+    for width in np.unique(w[(w > 0) & (n > 0)]).tolist():
+        s, e = np.searchsorted(gw, [width, width + 1]).tolist()
+        a, nb = at[s:e], (width + 7) // 8 * 8  # a group reads its whole words
+        if (a[1:] - a[:-1] == width).all():  # back to back: one strided view
+            words = np.ndarray((e - s, nb // 8), ">u8", raw, int(a[0]), (width, 8))
+        else:  # ``raw`` seen as overlapping ``nb``-byte items, one per byte offset
+            words = np.ndarray((len(raw) - nb + 1,), f"V{nb}", raw, 0, (1,))[a].view(">u8").reshape(e - s, -1)
+        _unpack_lanes(words.T.astype(np.uint64, order="C"), width, lanes[:, s:e])
+    inv = np.empty_like(order)  # back to row order: group ``order[i]`` is row ``i`` of the matrix
+    inv[order] = np.arange(len(order))
+    pad = groups * 8 - n  # lanes past a row's count, at the end of its last group
+    at = np.repeat(np.cumsum(groups * 8) - np.cumsum(pad), pad) + np.arange(int(pad.sum()))
+    return np.delete(lanes.T[inv].reshape(-1), at)
 
 
 def pack(values: np.ndarray, width: int) -> bytes:
@@ -225,16 +226,11 @@ def pack(values: np.ndarray, width: int) -> bytes:
     return pack_rows(v, [len(v)], [width])
 
 
-def unpack(buf: bytes, width: int, n: int, bit: int = 0) -> np.ndarray:
-    """Inverse of :func:`pack` — returns the ``n`` uint64 values packed at
-    ``width`` bits from bit offset ``bit`` of ``buf``, touching only their
-    bytes (a partition's slice ``[a, b)`` is ``bit = payload_off·8 + a·width``)."""
-    if width == 0:
-        return np.zeros(n, dtype=np.uint64)
-    first, skip = divmod(bit, 8)
-    end = skip + n * width
-    raw = np.frombuffer(buf, dtype=np.uint8, count=(end + 7) // 8, offset=first)
-    return _from_bits(np.unpackbits(raw)[skip:end], width)
+def unpack(buf: bytes, width: int, n: int, offset: int = 0) -> np.ndarray:
+    """Inverse of :func:`pack`: the ``n`` uint64 values packed at ``width``
+    bits from byte ``offset`` of ``buf``, the one-row case of
+    :func:`unpack_rows`."""
+    return unpack_rows(buf, [offset], [n], [width])
 
 
 def extract(buf: bytes, width: int, idx: int, offset: int = 0) -> int:

@@ -53,6 +53,10 @@ _PART_HDR = np.dtype(
 #: per-partition header cost in bytes: θ0 + θ1 + bias + width byte.
 PARTITION_HEADER_BYTES = 25
 
+#: a fitted line is used only while values and predictions stay inside
+#: ±2^62, so ``value − prediction`` cannot overflow int64.
+_SAFE = 2.0**62
+
 
 @dataclass(eq=False)
 class PartitionTable:
@@ -260,12 +264,23 @@ class EncodedSequence:
         payload_len = hdr["payload_len"].astype(np.int64)
         if n_parts and width.max() > 64:
             raise ValueError(f"delta width {width.max()} exceeds 64")
-        if not (np.isfinite(hdr["theta0"]).all() and np.isfinite(hdr["theta1"]).all()):
-            raise ValueError("non-finite model parameter")
+        # the models each encoder writes (all finite: a NaN compares false)
+        theta0, theta1 = hdr["theta0"], hdr["theta1"]
+        if scheme == "FOR":
+            ok = (theta0 == 0) & (theta1 == 0)
+        elif scheme.startswith("Delta"):  # θ1 is the exact integer difference bias
+            ok = (theta0 == 0) & (theta1 == np.floor(theta1)) & (-(2.0**53) < theta1) & (theta1 <= 0)
+        else:  # a line's ends stay inside ±2^62; a flat line's floor fits int64
+            with np.errstate(over="ignore", invalid="ignore"):
+                first, last = np.floor(theta0), np.floor(theta0 + theta1 * (lens - 1))
+            flat_ok = (-(2.0**63) <= first) & (first < 2.0**63)
+            ok = np.where(theta1 != 0, np.maximum(abs(first), abs(last)) < _SAFE, flat_ok)
+        if not ok.all():
+            raise ValueError(f"partition {int(np.argmin(ok))}: non-finite or out-of-domain {scheme} model")
         if not np.array_equal(payload_len, packed_size(payload_counts(scheme, lens), width.astype(np.int64))):
             raise ValueError("payload length does not match partition length and width")
         table = PartitionTable(
-            hdr["theta0"].copy(), hdr["theta1"].copy(), hdr["bias"].copy(), width,
+            theta0.copy(), theta1.copy(), hdr["bias"].copy(), width,
             lens, at + size, payload_len, blob,
         )
         return cls(scheme, n, dtype_bits, fixed_len, starts, table)

@@ -11,8 +11,8 @@ a bit-packed unsigned delta array, giving O(1) random access:
 FOR is the θ0 = θ1 = 0 case of the same layout, so FOR shares this module's
 decode and access kernels.  FOR, LeCo and Delta differ only in their
 per-partition fit and their layout: every one of them encodes through
-:func:`encode_fixed` or :func:`encode_var` and decodes through
-:func:`decode_table`.
+:func:`encode_fixed` or :func:`encode_var`, and reads its deltas with one
+ragged ``unpack_rows`` call whatever the layout (:func:`_read` here).
 """
 from __future__ import annotations
 
@@ -21,18 +21,14 @@ import math
 
 import numpy as np
 
-from .bitpack import bits_needed_vec, extract, pack_rows, packed_size, unpack, unpack_rows
-from .format import EncodedSequence, PartitionTable, fixed_size, payload_counts
+from .bitpack import bits_needed_vec, extract, pack_rows, packed_size, unpack_rows
+from .format import _SAFE, EncodedSequence, PartitionTable, fixed_size, payload_counts
 from .partitioner import fixed_partitions, fixed_rows, search_fixed_length, var_partitions
 from .regressor import LinearRegressor, positions
 
 __all__ = ["LeCoFix", "LeCoVar", "access_many", "fit_ranges", "positions_in"]
 
 _REGRESSOR = LinearRegressor()
-
-#: a fitted line is used only while values and predictions stay inside
-#: ±2^62, so ``value − prediction`` cannot overflow int64.
-_SAFE = 2.0**62
 
 
 def _best_of(x, lo, hi, theta0, theta1, deltas, safe):
@@ -234,15 +230,39 @@ def encode_var(scheme: str, values, dtype_bits: int, starts: np.ndarray, fit) ->
     return EncodedSequence(scheme, len(v), dtype_bits, None, starts, table)
 
 
+def _read(t: PartitionTable, ks, a, b) -> np.ndarray:
+    """Values ``[a[r], b[r])`` of partitions ``ks[r]`` of a LeCo or FOR table,
+    back to back, from one ``unpack_rows`` call: each range is read from the
+    start of its group of eight and its leading ``a % 8`` deltas dropped.
+    Value ``i`` is §3.3's ``floor(θ0 + θ1·i) + bias + delta``, flat over all
+    ranges.  Flat rows (θ1 = 0, as in FOR) add ``floor(θ0) + bias`` with no
+    float pass when all rows are flat, so when they hold most values they are read apart."""
+    ks, a, b = (np.asarray(x, dtype=np.int64) for x in (ks, a, b))
+    sloped, n = t.theta1[ks] != 0, b - a
+    if sloped.any() and 2 * n[~sloped].sum() >= n.sum():  # mostly flat: each kind alone
+        out, at = np.empty(int(n.sum()), dtype=np.int64), np.repeat(sloped, n)
+        out[at], out[~at] = (_read(t, ks[x], a[x], b[x]) for x in (sloped, ~sloped))
+        return out
+    w, skip = t.width[ks], a % 8
+    stored = unpack_rows(t.payload, t.payload_off[ks] + (a - skip) // 8 * w, n + skip, w).view(np.int64)
+    if skip.any():
+        row = np.cumsum(n + skip) - n - skip
+        stored = np.delete(stored, np.repeat(row - np.cumsum(skip) + skip, skip) + np.arange(int(skip.sum())))
+    if not sloped.any():
+        return stored + np.repeat(np.floor(t.theta0[ks]).astype(np.int64) + t.bias[ks], n)
+    pred = np.arange(len(stored), dtype=np.float64)
+    pred -= np.repeat((np.cumsum(n) - n - a).astype(np.float64), n)  # i = a, …, b − 1
+    pred *= np.repeat(t.theta1[ks], n)
+    pred += np.repeat(t.theta0[ks], n)
+    out = np.floor(pred, out=pred).astype(np.int64)
+    out += np.repeat(t.bias[ks], n)
+    out += stored
+    return out
+
+
 def _decode_partition(t: PartitionTable, k: int, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Values ``[start, stop)`` of partition ``k`` (LeCo or FOR layout),
-    unpacking only those values' deltas."""
-    theta0, theta1, bias, w, off, n = t.access_rows[k]
-    stop = n if stop is None else stop
-    deltas = unpack(t.payload, w, stop - start, off * 8 + start * w).view(np.int64)
-    if theta1 == 0.0:  # horizontal line: one prediction for every position
-        return deltas + (math.floor(theta0) + bias)
-    return np.floor(theta0 + theta1 * np.arange(start, stop)).astype(np.int64) + bias + deltas
+    """Values ``[start, stop)`` of partition ``k``: the one-range :func:`_read`."""
+    return _read(t, [k], [start], [t.n[k] if stop is None else stop])
 
 
 def positions_in(enc: EncodedSequence, lo, hi) -> tuple[np.ndarray, np.ndarray]:
@@ -255,46 +275,44 @@ def positions_in(enc: EncodedSequence, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     pruning): value ``i`` lies in ``floor(θ0 + θ1·i) + bias + [0, 2^w)``, so
     each interval maps to the candidate positions ``[a, b)`` found by
     bisecting the decoder's own prediction, which never decreases in ``i``.
-    Overlapping candidate ranges are merged and each is decoded once; a
-    flat or falling line (FOR included) decodes the whole partition.
+    Overlapping candidate ranges are merged; a flat or falling line (FOR
+    included) takes the whole partition.  All ranges are read by one
+    :func:`_read`, and a value is kept when it lies in an interval.
     """
     lo, hi = [int(x) for x in lo], [int(x) for x in hi]
-    lo_a, hi_a = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
     t = enc.partitions
-    starts = np.append(enc.starts, enc.n).astype(np.int64).tolist()
-    pos, vals = [], []
+    ks, ra, rb = [], [], []  # the candidate ranges [a, b) of partition k
     for k, (plo, phi) in enumerate(zip(*enc.value_bounds())):
         j0, j1 = bisect.bisect_left(hi, plo), bisect.bisect_right(lo, phi)
         if j0 >= j1:
             continue  # partition skipped from the header alone
         theta0, theta1, bias, width, _, n = t.access_rows[k]
         if theta1 <= 0:
-            ranges = [[0, n, j0, j1]]
-        else:
-            ranges, top = [], bias + (1 << width) - 1
-            idx = range(n)
+            ks.append(k), ra.append(0), rb.append(n)
+            continue
+        top = bias + (1 << width) - 1
+        idx = range(n)
 
-            def pred(i):
-                return math.floor(theta0 + theta1 * i)
+        def pred(i):
+            return math.floor(theta0 + theta1 * i)
 
-            for j in range(j0, j1):
-                a = bisect.bisect_left(idx, lo[j] - top, key=pred)
-                b = bisect.bisect_right(idx, hi[j] - bias, key=pred)
-                if a >= b:
-                    continue
-                if ranges and a <= ranges[-1][1]:  # a and b never decrease in j
-                    ranges[-1][1], ranges[-1][3] = b, j + 1
-                else:
-                    ranges.append([a, b, j, j + 1])
-        for a, b, ja, jb in ranges:
-            v = _decode_partition(t, k, a, b)
-            j = np.searchsorted(lo_a[ja:jb], v, side="right") - 1
-            keep = np.flatnonzero((j >= 0) & (v <= hi_a[ja:jb][j]))
-            pos.append(starts[k] + a + keep)
-            vals.append(v[keep])
-    if not pos:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(pos), np.concatenate(vals)
+        for j in range(j0, j1):
+            a = bisect.bisect_left(idx, lo[j] - top, key=pred)
+            b = bisect.bisect_right(idx, hi[j] - bias, key=pred)
+            if a >= b:
+                continue
+            if ks and ks[-1] == k and a <= rb[-1]:  # a and b never decrease in j
+                rb[-1] = b
+            else:
+                ks.append(k), ra.append(a), rb.append(b)
+    ks, ra, rb = (np.array(x, dtype=np.int64) for x in (ks, ra, rb))
+    v = _read(t, ks, ra, rb)
+    n = rb - ra
+    pos = np.repeat(enc.starts[ks] + ra - np.cumsum(n) + n, n) + np.arange(len(v))
+    # the intervals are sorted and disjoint: each value's is the last lo at or below it
+    j = np.searchsorted(np.array(lo, dtype=np.int64), v, side="right") - 1
+    keep = np.flatnonzero((j >= 0) & (v <= np.array(hi, dtype=np.int64)[j]))
+    return pos[keep], v[keep]
 
 
 def _value_at(t: PartitionTable, k: int, i: int) -> int:
@@ -337,41 +355,10 @@ def access_many(enc: EncodedSequence, positions) -> np.ndarray:
     return np.floor(t.theta0[k] + t.theta1[k] * i).astype(np.int64) + t.bias[k] + deltas
 
 
-def _decode_rows(t: PartitionTable, stored: np.ndarray, k: int = 0) -> np.ndarray:
-    """Partitions ``k .. k+g−1`` of a LeCo or FOR table from their ``(g, L)``
-    stored deltas (int64): the block form of :func:`_decode_partition`, with
-    the same inference ``floor(θ0 + θ1·i) + bias``, so the values are
-    bit-identical.  When every row is flat (θ1 = 0, as in FOR) a row adds
-    only ``floor(θ0) + bias``."""
-    g, L = stored.shape
-    theta0, theta1 = t.theta0[k : k + g, None], t.theta1[k : k + g, None]
-    pred = theta0
-    if theta1.any():
-        pred = theta1 * np.arange(L)
-        pred += theta0
-    return stored + (np.floor(pred).astype(np.int64) + t.bias[k : k + g, None])
-
-
-def decode_table(enc: EncodedSequence, part=None, rows=None) -> np.ndarray:
-    """Full decode of a Model+Delta sequence over the blocks :func:`build_table`
-    packed.  A fixed-length layout is read as two blocks of equal-length
-    rows, its full partitions and its short tail, each by one
-    ``unpack_rows`` and finished by ``rows(t, stored, k)`` from row ``k``
-    on; a variable-length layout is read one partition at a time,
-    ``part(t, k)``.  LeCo's and FOR's :func:`_decode_rows` and
-    :func:`_decode_partition` when None; Delta passes its prefix sums."""
-    t, part, rows = enc.partitions, part or _decode_partition, rows or _decode_rows
-    if not enc.fixed_len:
-        out = [part(t, k) for k in range(len(t))]
-    else:
-        m = enc.n // enc.fixed_len
-        out = []
-        for a, b in ((0, m), (m, len(t))):
-            if a < b:
-                count = payload_counts(enc.scheme, int(t.n[a]))
-                stored = unpack_rows(t.payload, t.payload_off[a:b], count, t.width[a:b]).view(np.int64)
-                out.append(rows(t, stored, a).reshape(-1))
-    return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
+def decode_table(enc: EncodedSequence) -> np.ndarray:
+    """Full decode of a LeCo or FOR sequence: every partition through one :func:`_read`."""
+    t = enc.partitions
+    return _read(t, np.arange(len(t)), np.zeros(len(t), dtype=np.int64), t.n)
 
 
 class _LeCoBase:
@@ -391,14 +378,9 @@ class _LeCoBase:
             raise IndexError(f"range [{start}, {stop}) outside [0, {enc.n}]")
         if start == stop:
             return np.empty(0, dtype=np.int64)
-        t = enc.partitions
-        ks, offs = enc.partition_of(start)
-        ke, offe = enc.partition_of(stop - 1)
-        out = []
-        for k in range(ks, ke + 1):
-            a = offs if k == ks else 0
-            out.append(_decode_partition(t, k, a, offe + 1 if k == ke else None))
-        return np.concatenate(out)
+        ks = np.arange(enc.partition_of(start)[0], enc.partition_of(stop - 1)[0] + 1)
+        s = enc.starts[ks].astype(np.int64)
+        return _read(enc.partitions, ks, np.maximum(start - s, 0), np.minimum(stop - s, enc.partitions.n[ks]))
 
 
 class LeCoFix(_LeCoBase):

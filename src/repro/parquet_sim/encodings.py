@@ -57,25 +57,28 @@ def _header(fmt: str, blob: bytes) -> tuple:
 def parse_chunk(blob: bytes):
     """Return ``("plain"|"dict", np.ndarray)`` or ``("seq", EncodedSequence)``.
 
-    Raises ``ValueError`` on a blob no encoder writes: an empty or truncated
-    chunk, or a dictionary code beyond the dictionary."""
+    Raises ``ValueError`` on a blob no encoder writes: an empty, truncated
+    or overlong chunk, dictionary codes wider or narrower than the
+    dictionary needs, or a code beyond the dictionary."""
     if not blob:
         raise ValueError("empty chunk")
     tag = blob[0]
     if tag == TAG_PLAIN:
         (n,) = _header("<q", blob)
-        if n < 0:
-            raise ValueError(f"negative value count {n}")
+        if len(blob) != 9 + 8 * n:
+            raise ValueError(f"a plain chunk of {n} values is {9 + 8 * n} bytes, not {len(blob)}")
         # .copy(): a real plain decoder materializes values out of the page
         # buffer; zero-copy views would understate Default's decode cost.
         return "plain", np.frombuffer(blob, dtype=np.int64, count=n, offset=9).copy()
     if tag == TAG_DICT:
         n, ndv, width = _header("<qiB", blob)
-        if n < 0 or ndv < 0 or width > 64:
-            raise ValueError(f"bad dictionary header: n={n}, ndv={ndv}, width={width}")
         off = 1 + 13
+        # the codes are as wide as the dictionary needs, and they end the chunk
+        size = off + 8 * ndv + (n * width + 7) // 8
+        if n < 0 or ndv < 1 or width != bits_needed(ndv - 1) or len(blob) != size:
+            raise ValueError(f"bad dictionary header: n={n}, ndv={ndv}, width={width}, {len(blob)} bytes")
         uniq = np.frombuffer(blob, dtype=np.int64, count=ndv, offset=off)
-        codes = unpack(blob, width, n, (off + 8 * ndv) * 8)
+        codes = unpack(blob, width, n, off + 8 * ndv)
         if n and int(codes.max()) >= ndv:
             raise ValueError(f"dictionary code {int(codes.max())} beyond the {ndv}-entry dictionary")
         return "dict", uniq[codes.astype(np.int64)]
@@ -97,8 +100,11 @@ def gather_positions(blob: bytes, positions: np.ndarray) -> np.ndarray:
     FOR/LeCo chunks read each value with one model inference and one delta
     fetch (``access_many``, LeCo/FOR's §4.3.2 access path); plain/dict
     chunks must materialize everything first (the Default cost the paper
-    measures)."""
+    measures).  Raises ``IndexError`` for a position outside ``[0, n)``."""
     kind, obj = parse_chunk(blob)
     if kind == "seq":
         return access_many(obj, positions)
-    return np.asarray(obj)[positions]
+    p = np.asarray(positions, dtype=np.int64)
+    if p.size and not 0 <= int(p.min()) <= int(p.max()) < len(obj):
+        raise IndexError(f"positions {int(p.min())} … {int(p.max())} not all in [0, {len(obj)})")
+    return obj[p]

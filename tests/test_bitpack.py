@@ -4,8 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unittest import mock
-
 from repro.core import bitpack
 from repro.core.bitpack import (
     bits_needed,
@@ -81,27 +79,6 @@ def test_pack_unpack_hypothesis(values):
     v = np.array(values, dtype=np.uint64)
     width = max(bits_needed(int(v.max())), 1)
     assert np.array_equal(unpack(pack(v, width), width, len(v)), v)
-
-
-@given(data=st.data(), width=st.integers(0, 64))
-@settings(max_examples=200, deadline=None)
-def test_unpack_range_matches_full_unpack(data, width):
-    """``unpack`` from a bit offset reads exactly the matching slice of a
-    full unpack, for an array packed at any byte offset inside a larger
-    buffer, including ranges that end on the buffer's last byte."""
-    top = (1 << width) - 1
-    n = data.draw(st.integers(0, 80))
-    values = data.draw(st.lists(st.one_of(st.integers(0, top), st.just(top)), min_size=n, max_size=n))
-    v = np.array(values, dtype=np.uint64)
-    head = data.draw(st.binary(max_size=9))
-    tail = data.draw(st.sampled_from([b"", b"\xff", bytes(9)]))
-    buf = head + pack(v, width) + tail
-    a = data.draw(st.integers(0, n))
-    b = data.draw(st.one_of(st.just(n), st.integers(a, n)))
-    got = unpack(buf, width, b - a, len(head) * 8 + a * width)
-    assert got.dtype == np.uint64
-    assert np.array_equal(got, unpack(buf[len(head) :], width, n)[a:b])
-    assert np.array_equal(got, v[a:b])
 
 
 @pytest.mark.parametrize("width", [1, 7, 64, 65, 100, 200])
@@ -198,12 +175,9 @@ def test_ragged_pack_rows_matches_matrix_packer(data):
     offsets = np.cumsum(sizes) - sizes
     assert len(buf) == int(sizes.sum())
     for r, w, off in zip(rows, widths, offsets.tolist()):
-        assert np.array_equal(unpack(buf, w, len(r), off * 8), r)
-    # rows of one count come back from one block read
-    for n in set(counts):
-        ks = [k for k in range(m) if counts[k] == n]
-        got = unpack_rows(buf, offsets[ks], n, np.array(widths)[ks])
-        assert np.array_equal(got, np.array([rows[k] for k in ks], dtype=np.uint64).reshape(len(ks), n))
+        assert np.array_equal(unpack(buf, w, len(r), off), r)
+    # the whole table comes back from one read
+    assert np.array_equal(unpack_rows(buf, offsets, counts, widths), values)
 
 
 def test_pack_rows_rejects_bad_input():
@@ -223,77 +197,118 @@ def test_pack_rows_rejects_bad_input():
     assert pack_rows(np.empty(0, dtype=np.uint64), [0, 0], [5, 64]) == b""
 
 
+def _ragged_rows(data, g, m):
+    """``m`` rows of 0..40 values at widths 0..64, each holding its width's
+    top value, and their counts and widths."""
+    widths = data.draw(st.lists(st.integers(0, 64), min_size=m, max_size=m))
+    counts = data.draw(st.lists(st.integers(0, 40), min_size=m, max_size=m))
+    rows = []
+    for n, w in zip(counts, widths):
+        r = g.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True) & np.uint64((1 << w) - 1)
+        if n:
+            r[g.integers(n)] = (1 << w) - 1
+        rows.append(r)
+    return rows, np.array(counts, dtype=np.int64), np.array(widths, dtype=np.int64)
+
+
+def _flat(rows) -> np.ndarray:
+    return np.concatenate(rows) if rows else np.empty(0, dtype=np.uint64)
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_unpack_rows_inverts_pack_rows(data):
     """``unpack_rows`` returns exactly what ``pack_rows`` packed, rows placed
-    anywhere in a buffer, for widths 0..64 (64 at full range), a single
-    row, counts not a multiple of 8 and rows split across blocks."""
-    m = data.draw(st.integers(1, 6))
-    count = data.draw(st.integers(1, 40))
-    widths = data.draw(st.lists(st.integers(0, 64), min_size=m, max_size=m))
-    seed = data.draw(st.integers(0, 2**32 - 1))
-    block = data.draw(st.sampled_from([8, 16, 64, bitpack._BLOCK_VALUES]))
-    g = np.random.default_rng(seed)
-    rows = g.integers(0, 2**64 - 1, (m, count), dtype=np.uint64, endpoint=True)
-    rows &= np.array([(1 << w) - 1 for w in widths], dtype=np.uint64)[:, None]
-    rows[:, 0] = [(1 << w) - 1 for w in widths]  # each row's top value
+    anywhere in a buffer behind any head and before any tail, read in any
+    order, for widths 0..64 (each row with its top value), counts 0..40
+    (most not a multiple of 8) and a single row.  Each row equals its own
+    one-row ``unpack``."""
+    g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    m = data.draw(st.integers(1, 8))
+    rows, counts, widths = _ragged_rows(data, g, m)
     head = data.draw(st.binary(max_size=9))
-    buf = head + pack_rows(rows.reshape(-1), [count] * m, widths) + data.draw(st.sampled_from([b"", b"\xff", bytes(9)]))
-    sizes = bitpack.packed_size(count, np.array(widths))
+    buf = head + pack_rows(_flat(rows), counts, widths) + data.draw(st.sampled_from([b"", b"\xff", bytes(9)]))
+    sizes = bitpack.packed_size(counts, widths)
     offsets = len(head) + np.cumsum(sizes) - sizes
-    # rows in any order: each is read from its own offset
     order = g.permutation(m)
-    with mock.patch.object(bitpack, "_BLOCK_VALUES", block):
-        got = unpack_rows(buf, offsets[order], count, np.array(widths)[order])
-    assert got.dtype == np.uint64 and got.shape == (m, count)
-    assert np.array_equal(got, rows[order])
+    got = unpack_rows(buf, offsets[order], counts[order], widths[order])
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, _flat([rows[k] for k in order]))
     for k in range(m):
-        assert np.array_equal(got[k], unpack(buf, widths[order[k]], count, int(offsets[order[k]]) * 8))
+        assert np.array_equal(unpack(buf, int(widths[k]), int(counts[k]), int(offsets[k])), rows[k])
 
 
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_unpack_rows_back_to_back_rows(data):
     """Rows packed back to back in table order, as an encoder's table holds
-    them: runs of one width (a width group of consecutive rows, read as
-    slices) mixed with width-0 rows and other widths, rows split across
-    blocks.  Every row equals its own ``unpack``."""
+    them: runs of one width (groups read as one strided view when every
+    row but the last fills whole groups) mixed with width-0 rows and other
+    widths; the table ends on the buffer's last byte."""
     runs = data.draw(st.lists(st.tuples(st.integers(0, 64), st.integers(1, 5)), min_size=1, max_size=4))
-    widths = [w for w, r in runs for _ in range(r)]
-    count = data.draw(st.integers(1, 40))
-    block = data.draw(st.sampled_from([8, 16, 64, bitpack._BLOCK_VALUES]))
+    widths = np.array([w for w, r in runs for _ in range(r)], dtype=np.int64)
+    eights = data.draw(st.booleans())
+    counts = np.array(
+        [8 * data.draw(st.integers(1, 5)) if eights else data.draw(st.integers(1, 40)) for _ in widths],
+        dtype=np.int64,
+    )
     g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    rows = g.integers(0, 2**64 - 1, (len(widths), count), dtype=np.uint64, endpoint=True)
-    rows &= np.array([(1 << w) - 1 for w in widths], dtype=np.uint64)[:, None]
-    buf = pack_rows(rows.reshape(-1), [count] * len(widths), widths)
-    sizes = bitpack.packed_size(count, np.array(widths))
+    top = [np.uint64((1 << int(w)) - 1) for w in widths]
+    rows = [g.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True) & t for n, t in zip(counts, top)]
+    buf = pack_rows(_flat(rows), counts, widths)
+    sizes = bitpack.packed_size(counts, widths)
     offsets = np.cumsum(sizes) - sizes
-    with mock.patch.object(bitpack, "_BLOCK_VALUES", block):
-        got = unpack_rows(buf, offsets, count, np.array(widths))
-    assert np.array_equal(got, rows)
-    for k, w in enumerate(widths):
-        assert np.array_equal(got[k], unpack(buf, w, count, int(offsets[k]) * 8))
+    assert np.array_equal(unpack_rows(buf, offsets, counts, widths), _flat(rows))
+    for k, w in enumerate(widths.tolist()):
+        assert np.array_equal(unpack(buf, w, int(counts[k]), int(offsets[k])), rows[k])
 
 
 def test_unpack_rows_from_a_serialized_table():
-    """Offsets and widths read back from a blob give each full partition's
-    stored deltas, bit for bit what the encoder's fit stored."""
+    """Offsets, counts and widths read back from a blob give every
+    partition's stored deltas (the tail's too), bit for bit what the
+    encoder's fit stored."""
     g = np.random.default_rng(11)
     v = np.r_[g.integers(-(2**63), 2**63 - 1, 300, dtype=np.int64, endpoint=True), np.arange(77)]
     L = 25
     t = EncodedSequence.from_bytes(LeCoFix(L).encode(v).to_bytes()).partitions
     m = len(v) // L
-    got = unpack_rows(t.payload, t.payload_off[:m], L, t.width[:m])
+    got = unpack_rows(t.payload, t.payload_off, t.n, t.width)
     assert 64 in t.width[:m].tolist()
-    assert np.array_equal(got, _fit_linear(v[: m * L].reshape(m, L), L)[4].view(np.uint64))
+    stored = [_fit_linear(v[: m * L].reshape(m, L), L)[4], _fit_linear(v[m * L :][None], L)[4]]
+    assert np.array_equal(got, np.concatenate([s.reshape(-1) for s in stored]).view(np.uint64))
 
 
 def test_unpack_rows_edges_and_bad_input():
-    assert unpack_rows(b"", [], 5, []).shape == (0, 5)
-    assert unpack_rows(b"\xff", [0, 0], 0, [3, 3]).shape == (2, 0)
-    assert np.array_equal(unpack_rows(b"", [0, 0], 4, [0, 0]), np.zeros((2, 4), dtype=np.uint64))
+    assert unpack_rows(b"", [], [], []).shape == (0,)
+    assert unpack_rows(b"\xff", [0, 0], [0, 0], [3, 3]).shape == (0,)
+    assert np.array_equal(unpack_rows(b"", [0, 0], [4, 4], [0, 0]), np.zeros(8, dtype=np.uint64))
     with pytest.raises(ValueError):
-        unpack_rows(b"\x00" * 8, [0], 1, [65])
+        unpack_rows(b"\x00" * 8, [0], [1], [65])
+    with pytest.raises(ValueError):  # one offset per row
+        unpack_rows(b"\x00" * 8, [0, 1], [1], [3])
     with pytest.raises(ValueError):
-        unpack_rows(b"\x00" * 8, [0, 1], 1, [3])
+        unpack_rows(b"\x00" * 8, [0], [-1], [3])
+    with pytest.raises(ValueError):
+        unpack_rows(b"\x00" * 8, [-1], [1], [3])
+    with pytest.raises(ValueError):  # 2^60 values could not fit, and 2^60 · 64 bits would overflow
+        unpack_rows(b"\x00" * 8, [0], [2**60], [64])
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_unpack_rows_rejects_truncated_rows(data):
+    """A row whose packed bytes run past the buffer raises ``ValueError``,
+    wherever the buffer is cut inside them; a row that ends on the cut
+    reads back."""
+    g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows, counts, widths = _ragged_rows(data, g, data.draw(st.integers(1, 6)))
+    buf = pack_rows(_flat(rows), counts, widths)
+    sizes = bitpack.packed_size(counts, widths)
+    offsets, ends = np.cumsum(sizes) - sizes, np.cumsum(sizes)
+    cut = data.draw(st.integers(0, len(buf)))
+    inside = ends <= cut
+    assert np.array_equal(unpack_rows(buf[:cut], offsets[inside], counts[inside], widths[inside]),
+                          _flat([r for r, k in zip(rows, inside) if k]))
+    if not inside.all():
+        with pytest.raises(ValueError):
+            unpack_rows(buf[:cut], offsets, counts, widths)

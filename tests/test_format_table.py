@@ -15,9 +15,10 @@ from repro.baselines.delta_codec import DeltaFix, DeltaVar
 from repro.baselines.for_codec import FORCodec
 from repro.core import leco
 from repro.core.format import EncodedSequence
-from repro.core.leco import LeCoFix, LeCoVar
+from repro.core.leco import LeCoFix, LeCoVar, access_many
 from repro.core.pla import LeCoAngle
 from repro.datasets import INTEGER_DATASETS
+from repro.parquet_sim.encodings import encode_chunk, gather_positions, parse_chunk
 
 CODECS = {
     "FOR": FORCodec(),
@@ -98,6 +99,117 @@ def test_rejects_every_truncation_and_trailing_bytes():
                 EncodedSequence.from_bytes(blob[:cut])
         with pytest.raises(ValueError, match="trailing"):
             EncodedSequence.from_bytes(blob + b"\0")
+
+
+@pytest.mark.parametrize(
+    "codec, theta0, theta1",
+    [
+        (FORCodec(4), 1.0, 0.0),  # FOR's line is θ0 = θ1 = 0
+        (FORCodec(4), 0.0, -0.5),
+        (DeltaFix(4), 1.0, -3.0),  # Delta: θ0 = 0, θ1 an integer in (−2^53, 0]
+        (DeltaFix(4), 0.0, -0.5),
+        (DeltaFix(4), 0.0, 1.0),
+        (DeltaFix(4), 0.0, -(2.0**53)),
+        (LeCoFix(4), 2.0**62, 0.5),  # a sloped line's ends inside ±2^62
+        (LeCoFix(4), 2.0**62 - 2.0**10, 2.0**60),
+        (LeCoFix(4), -(2.0**62), -0.5),
+        (LeCoFix(4), 2.0**63, 0.0),  # a flat line's floor inside int64
+        (LeCoFix(4), -(2.0**63) - 2.0**11, 0.0),
+    ],
+)
+def test_rejects_models_no_encoder_writes(codec, theta0, theta1):
+    """Finite models outside what the scheme's encoder writes raise
+    ``ValueError``: their reads could not agree in int64."""
+    blob = bytearray(_blob([5, 1, 9, 3], codec))
+    struct.pack_into("<dd", blob, 17 + 4, theta0, theta1)  # the only partition's model
+    with pytest.raises(ValueError, match="model"):
+        EncodedSequence.from_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize(
+    "codec, theta0, theta1",
+    [(DeltaFix(4), 0.0, -(2.0**53) + 1), (LeCoFix(4), -(2.0**63), 0.0), (LeCoFix(4), 2.0**63 - 2.0**10, 0.0),
+     (LeCoFix(4), 2.0**62 - 2.0**10, -(2.0**40))],
+)
+def test_accepts_models_at_the_domain_edges(codec, theta0, theta1):
+    blob = bytearray(_blob([5, 1, 9, 3], codec))
+    struct.pack_into("<dd", blob, 17 + 4, theta0, theta1)
+    assert EncodedSequence.from_bytes(bytes(blob)).partitions.theta1[0] == theta1
+
+
+def _header_bytes(blob: bytes) -> list[int]:
+    """Offsets of a serialized sequence's header bytes: the global header,
+    the fixed length or starts, and every partition header."""
+    enc = EncodedSequence.from_bytes(blob)
+    t = enc.partitions
+    out = list(range(17 + (4 if enc.fixed_len is not None else 4 * len(t))))
+    for at in (t.payload_off - 29).tolist():
+        out += range(at, at + 29)
+    return out
+
+
+def _fuzz_column(n: int = 400) -> np.ndarray:
+    """A rising walk with jumps, a flat run and a falling run: several
+    partitions of every layout, some of width 0."""
+    g = np.random.default_rng(7)
+    walk = np.cumsum(g.integers(0, 50, n) + np.where(g.random(n) < 0.03, g.integers(-(10**6), 10**6, n), 0))
+    return np.r_[walk, np.full(40, walk[-1]), walk[-1] - 3 * np.arange(40)].astype(np.int64)
+
+
+_FUZZ_V = _fuzz_column()
+_FUZZ = {name: CODECS[name].encode(_FUZZ_V).to_bytes() for name in CODECS}
+_FUZZ_HEADERS = {name: _header_bytes(blob) for name, blob in _FUZZ.items()}
+_FUZZ_CHUNKS = {
+    "plain": encode_chunk(_FUZZ_V, "default"),
+    "dict": encode_chunk(_FUZZ_V % 13, "default"),
+}
+
+
+@given(name=st.sampled_from(sorted(_FUZZ) + sorted(_FUZZ_CHUNKS)), data=st.data())
+@settings(max_examples=600, deadline=None)
+def test_corrupt_headers_raise_or_reads_agree(name, data):
+    """One to three header bytes overwritten: the parser raises
+    ``ValueError``, or every read returns int64 and they agree.  For a
+    sequence: ``decode``, ``access_many`` (FOR and LeCo) and ``access`` at
+    each position, exactly where the header bounds the partition's values
+    inside int64 and modulo 2^64 elsewhere (``access`` adds in Python
+    integers, the array paths wrap).  A corrupt length that would decode
+    into more than twice the original values is read only at its first
+    such positions.  For a plain or dictionary chunk: ``gather_positions``
+    agrees with the parsed values."""
+    chunk = name in _FUZZ_CHUNKS
+    blob = bytearray(_FUZZ_CHUNKS[name] if chunk else _FUZZ[name])
+    where = st.integers(0, 13) if chunk else st.sampled_from(_FUZZ_HEADERS[name])
+    for at, byte in data.draw(st.lists(st.tuples(where, st.integers(0, 255)), min_size=1, max_size=3)):
+        blob[at] = byte
+    blob = bytes(blob)
+    cap = 2 * len(_FUZZ_V)
+    try:
+        kind, obj = parse_chunk(blob) if chunk else ("seq", EncodedSequence.from_bytes(blob))
+    except ValueError:
+        return
+    if kind != "seq":
+        assert obj.dtype == np.int64
+        p = np.arange(len(obj))
+        assert np.array_equal(gather_positions(blob, p), obj)
+        return
+    enc = obj
+    codec = CODECS[enc.scheme]
+    p = np.arange(min(enc.n, cap))
+    got = [codec.access(enc, i) for i in p.tolist()]
+    assert all(isinstance(x, int) for x in got)
+    wrapped = np.array([(x + 2**63) % 2**64 - 2**63 for x in got], dtype=np.int64)
+    reads = [access_many(enc, p)] if not enc.scheme.startswith("Delta") else []
+    if enc.n <= cap:
+        reads.append(codec.decode(enc))
+    for r in reads:
+        assert r.dtype == np.int64 and np.array_equal(r, wrapped)
+    if not enc.scheme.startswith("Delta"):
+        lo, hi = enc.value_bounds()
+        k = np.searchsorted(enc.starts, p, side="right") - 1
+        inside = (np.array(lo, dtype=object) >= I64_MIN) & (np.array(hi, dtype=object) <= I64_MAX)
+        for i, x in zip(p[inside[k]].tolist(), wrapped[inside[k]].tolist()):
+            assert got[i] == x
 
 
 def test_rejects_zero_filled_header():
@@ -193,6 +305,30 @@ def test_decode_table_equals_per_partition_decode(values, codec, L):
     got = codec().decode(enc)
     assert "access_rows" not in vars(enc.partitions)  # no per-partition header tuples
     part = delta_codec._decode_partition if codec is DeltaFix else leco._decode_partition
+    parts = [part(enc.partitions, k) for k in range(len(enc.partitions))]
+    want = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want) and np.array_equal(got, v)
+
+
+@given(
+    values=st.one_of(
+        int64_columns(),
+        st.lists(st.integers(I64_MIN, I64_MAX), min_size=30, max_size=200),
+        st.lists(st.integers(-1000, 1000), max_size=200),
+    ),
+    codec=st.sampled_from([LeCoVar, LeCoAngle, DeltaVar]),
+)
+@settings(max_examples=200, deadline=None)
+def test_var_decode_table_equals_per_partition_decode(values, codec):
+    """A variable-length layout decodes in one block read exactly as its
+    partitions do one at a time, for blobs read back from bytes: partitions
+    of any length, one value and ``n == 0`` included."""
+    v = np.asarray(values, dtype=np.int64)
+    enc = EncodedSequence.from_bytes(codec().encode(v).to_bytes())
+    got = codec().decode(enc)
+    assert "access_rows" not in vars(enc.partitions)  # no per-partition header tuples
+    part = delta_codec._decode_partition if codec is DeltaVar else leco._decode_partition
     parts = [part(enc.partitions, k) for k in range(len(enc.partitions))]
     want = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
     assert got.dtype == np.int64

@@ -1,5 +1,7 @@
 """LeCo-specific behavioural tests: format invariants, range decode, exact
 model inference, and paper-claimed dominance properties."""
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,10 +11,11 @@ from repro.baselines.delta_codec import DeltaFix, DeltaVar
 from repro.baselines.elias_fano import EliasFano
 from repro.baselines.for_codec import FORCodec
 from repro.core.format import EncodedSequence, PARTITION_HEADER_BYTES
-from repro.core.leco import LeCoFix, LeCoVar, access_many
+from repro.core import leco
+from repro.core.leco import LeCoFix, LeCoVar, access_many, positions_in
 from repro.core.pla import LeCoAngle
 from repro.datasets import INTEGER_DATASETS
-from repro.parquet_sim.encodings import TAG_SEQ, gather_positions
+from repro.parquet_sim.encodings import TAG_SEQ, encode_chunk, gather_positions
 
 
 def test_partition_encoding_invariants():
@@ -128,13 +131,24 @@ def test_partition_of_matches_searchsorted(layout, seed, n):
 
 
 @pytest.mark.parametrize(
-    "make", [FORCodec, LeCoFix, LeCoVar, lambda: LeCoAngle(4), DeltaFix, DeltaVar, EliasFano]
+    "make", [FORCodec, LeCoFix, LeCoVar, lambda: LeCoAngle(4), DeltaFix, DeltaVar, EliasFano, "plain", "dict"]
 )
 def test_access_out_of_range_raises(make):
     """A read outside ``[0, n)`` raises instead of returning another
-    position's value, one at a time or (FOR and LeCo layouts) many at once;
-    ``decode_range`` takes ``0 ≤ start ≤ stop ≤ n``."""
+    position's value, one at a time or (FOR and LeCo layouts, plain and
+    dictionary chunks) many at once; ``decode_range`` takes
+    ``0 ≤ start ≤ stop ≤ n``."""
     v = np.cumsum(np.random.default_rng(0).integers(0, 100, 1000)).astype(np.int64)
+    if isinstance(make, str):  # a Parquet chunk of the default encoding
+        blob = encode_chunk(v if make == "plain" else v % 10, "default")
+        assert blob[0] == (0 if make == "plain" else 1)
+        want = v if make == "plain" else v % 10
+        assert np.array_equal(gather_positions(blob, np.array([999, 0, 500])), want[[999, 0, 500]])
+        assert len(gather_positions(blob, np.empty(0, dtype=np.int64))) == 0
+        for p in ([-1], [1000], [-1, 1000, 1500], [0, 5, 10**6]):
+            with pytest.raises(IndexError):
+                gather_positions(blob, np.array(p))
+        return
     codec = make()
     enc = codec.encode(v)
     assert codec.access(enc, 0) == v[0] and codec.access(enc, 999) == v[999]
@@ -157,6 +171,76 @@ def test_access_out_of_range_raises(make):
             got = codec.decode_range(enc, a, a)
             assert got.dtype == np.int64 and len(got) == 0
         assert np.array_equal(codec.decode_range(enc, 990, 1000), v[990:])
+
+
+_RANGE_LAYOUTS = {
+    "FOR": lambda: FORCodec(20),
+    "LeCo-fix": lambda: LeCoFix(20),
+    "LeCo-fix-8": lambda: LeCoFix(8),
+    "LeCo-var": LeCoVar,
+    "LeCo-angle": lambda: LeCoAngle(4),
+    "Delta-fix": lambda: DeltaFix(20),
+    "Delta-var": DeltaVar,
+}
+
+
+@given(st.sampled_from(sorted(_RANGE_LAYOUTS)), st.integers(0, 2**32 - 1), st.integers(1, 600), st.data())
+@settings(max_examples=150, deadline=None)
+def test_range_reads_start_and_end_mid_group(layout, seed, n, data):
+    """Reads of a blob that start and end inside a group of eight deltas
+    equal numpy's slice and filter.  LeCo: ``decode_range`` over ``[a, b)``;
+    FOR and LeCo: ``positions_in`` over small intervals around the values
+    at ``a``, ``b − 1`` and a few positions off the group grid (a rising
+    line's candidate ranges start near them).  Delta, whose reads start at
+    a partition's first value: ``access`` at ``a`` and ``b − 1``, which
+    unpack a prefix of differences ending mid-group."""
+    v = _column(seed, n)
+    codec = _RANGE_LAYOUTS[layout]()
+    enc = EncodedSequence.from_bytes(codec.encode(v).to_bytes())
+    off_grid = st.integers(0, n - 1).filter(lambda i: i % 8 or n < 8)
+    a = data.draw(off_grid)
+    b = data.draw(st.integers(a + 1, n).filter(lambda j: j % 8 or j == n))
+    if layout.startswith("Delta"):
+        assert [codec.access(enc, i) for i in (a, b - 1)] == [v[a], v[b - 1]]
+        return
+    if hasattr(codec, "decode_range"):  # FOR has none
+        got = codec.decode_range(enc, a, b)
+        assert got.dtype == np.int64 and np.array_equal(got, v[a:b])
+    at = sorted({a, b - 1, *data.draw(st.lists(off_grid, max_size=4))})
+    pad = data.draw(st.sampled_from([0, 1, 30]))
+    lo, hi = [], []
+    for x in sorted(set(int(v[i]) for i in at)):
+        if lo and x - pad <= hi[-1]:
+            hi[-1] = x + pad  # overlapping intervals merge: they must be disjoint
+        else:
+            lo.append(x - pad), hi.append(x + pad)
+    pos, vals = positions_in(enc, lo, hi)
+    mask = np.zeros(n, dtype=bool)
+    for x, y in zip(lo, hi):
+        mask |= (v >= x) & (v <= y)
+    assert np.array_equal(pos, np.flatnonzero(mask)) and np.array_equal(vals, v[mask])
+
+
+def test_range_reads_reach_mid_group_ranges():
+    """The reads above do reach the reader with ranges that start off the
+    group grid: on a rising column, ``decode_range`` and ``positions_in``
+    hand ``leco._read`` starts with ``a % 8 ≠ 0``."""
+    v = _column(3, 2000)
+    starts = []
+    real = leco._read
+
+    def spy(t, ks, a, b):
+        starts.extend(np.asarray(a).tolist())
+        return real(t, ks, a, b)
+
+    for codec in (LeCoFix(100), LeCoVar()):
+        enc = codec.encode(v)
+        starts.clear()
+        with mock.patch.object(leco, "_read", spy):
+            assert np.array_equal(codec.decode_range(enc, 1003, 1500), v[1003:1500])
+            pos, _ = positions_in(enc, [int(v[1203]), int(v[1707])], [int(v[1203]), int(v[1707])])
+        assert any(x % 8 for x in starts)
+        assert {1203, 1707} <= set(pos.tolist())
 
 
 def test_empty_sequence_has_no_position():

@@ -1,6 +1,6 @@
-"""No code that nothing calls: every top-level function and class in
-``src/repro`` is referenced somewhere outside its own definition, in the
-program, its tests, jobs, benchmarks or perfbench.
+"""No code that nothing calls: every top-level function, class and
+constant in ``src/repro`` is referenced somewhere outside its own
+definition, in the program, its tests, jobs, benchmarks or perfbench.
 
 A reference is an identifier (a name, an attribute or an imported name) or
 a word of a string literal that is not a docstring: ``perfbench/tracing.py``
@@ -67,14 +67,21 @@ def test_every_top_level_definition_is_referenced():
         if not path.is_relative_to(ROOT / "src" / "repro"):
             continue
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):  # a module-level constant
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__")]
+                first = node.lineno
+            else:
                 continue
-            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            used = [
-                (p, line)
-                for p, line in refs.get(node.name, [])
-                if not (p == path and first <= line <= node.end_lineno)
-            ]
-            if not used:
-                orphans.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
+            for name in names:
+                used = [
+                    (p, line)
+                    for p, line in refs.get(name, [])
+                    if not (p == path and first <= line <= node.end_lineno)
+                ]
+                if not used:
+                    orphans.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert not orphans, "defined but never referenced:\n" + "\n".join(orphans)

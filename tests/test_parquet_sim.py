@@ -85,6 +85,25 @@ def test_parse_chunk_rejects_malformed_blobs():
     assert kind == "dict" and v.tolist() == [10, 20, 30, 30]
 
 
+def test_parse_chunk_rejects_headers_no_encoder_writes():
+    """A dict chunk whose codes are wider or narrower than its dictionary
+    needs, or a plain or dict chunk with bytes after its values, raises
+    ``ValueError`` even when the codes it holds would parse."""
+    entries = np.array([10, 20, 30]).tobytes()
+    codes = np.array([0, 1, 2, 2, 1, 0, 0, 1], dtype=np.uint64)
+    for width in (1, 3, 8):  # three entries need 2-bit codes
+        blob = bytes([TAG_DICT]) + struct.pack("<qiB", 8, 3, width) + entries + pack(codes % (1 << width), width)
+        with pytest.raises(ValueError):
+            parse_chunk(blob)
+    good = bytes([TAG_DICT]) + struct.pack("<qiB", 8, 3, 2) + entries + pack(codes, 2)
+    assert parse_chunk(good)[1].tolist() == [10, 20, 30, 30, 20, 10, 10, 20]
+    plain = encode_chunk(np.arange(5) * 2**40, "default")
+    assert plain[0] == 0 and parse_chunk(plain)[1].tolist() == (np.arange(5) * 2**40).tolist()
+    for blob in (good + b"\0", plain + b"\0"):
+        with pytest.raises(ValueError):
+            parse_chunk(blob)
+
+
 def test_unknown_encoding_rejected():
     with pytest.raises(ValueError):
         encode_chunk(np.arange(10), "zigzag")
