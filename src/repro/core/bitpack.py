@@ -179,9 +179,10 @@ def unpack_rows(buf: bytes, offsets, counts, widths) -> np.ndarray:
     (``width`` bytes): one :func:`_unpack_lanes` call per width fills a lane
     matrix sorted by width, which is put back in row order and trimmed of
     pad lanes once.  A width's groups are one strided view when they lie
-    back to back (an encoder's table), else gathered.  Pad lanes may read
-    past their row, and past ``buf`` as zeros; a row whose bytes do not lie
-    inside ``buf`` raises ``ValueError``."""
+    back to back (adjacent rows of one width, in an encoder's table or a
+    parsed blob's: a blob holds no headers between its payloads), else
+    gathered.  Pad lanes may read past their row, and past ``buf`` as
+    zeros; a row whose bytes do not lie inside ``buf`` raises ``ValueError``."""
     off, n, w = (np.asarray(x, dtype=np.int64).reshape(-1) for x in (offsets, counts, widths))
     if not len(off) == len(n) == len(w):
         raise ValueError(f"{len(off)} offsets, {len(n)} counts and {len(w)} widths")

@@ -21,12 +21,13 @@ Byte layout (``to_bytes``/``from_bytes``):
     magic(2) scheme_id(1) flags(1) n(8) dtype_bits(1) n_parts(4)
     [fixed_len(4)]                 # flags bit0: fixed-length partitions
     [starts: n_parts × uint32]     # otherwise, variable-length
-    per partition:
-        theta0(f64) theta1(f64) bias(i64) width(1) payload_len(4) payload(...)
+    n_parts × theta0(f64) theta1(f64) bias(i64) width(1) payload_len(4)
+    every partition's payload, back to back
 
-``to_bytes`` writes all partition headers and payloads with one scatter;
-``from_bytes`` walks the ``payload_len`` fields, gathers the headers into
-the table and keeps the payloads as a view of the blob.  The serialized
+The partition headers form one array ahead of the payloads, so
+``to_bytes`` joins four buffers and ``from_bytes`` reads the headers with
+one ``frombuffer`` and keeps the payloads as a view of the blob; the
+payloads start at :meth:`EncodedSequence.model_bytes`.  The serialized
 length is what every compression-ratio measurement reports.
 """
 from __future__ import annotations
@@ -77,18 +78,19 @@ class PartitionTable:
     n: np.ndarray  # int64, values in the partition
     payload_off: np.ndarray  # int64, byte offset of the packed deltas in ``payload``
     payload_len: np.ndarray  # int64, bytes of packed deltas
-    payload: bytes  # any buffer: the encoder's packed bytes or a serialized blob
+    payload: bytes  # all packed deltas back to back: the encoder's bytes or a view of a blob's tail
 
     @classmethod
     def build(cls, theta0, theta1, bias, width, n, payload_len, payload: bytes) -> "PartitionTable":
-        """Table over ``payload`` holding the partitions' packed deltas back to back."""
-        payload_len = np.asarray(payload_len, dtype=np.int64)
+        """Table over ``payload`` holding the partitions' packed deltas back to
+        back; strided columns (a parsed header array's fields) are copied."""
+        payload_len = np.ascontiguousarray(payload_len, dtype=np.int64)
         return cls(
-            np.asarray(theta0, dtype=np.float64),
-            np.asarray(theta1, dtype=np.float64),
-            np.asarray(bias, dtype=np.int64),
-            np.asarray(width, dtype=np.uint8),
-            np.asarray(n, dtype=np.int64),
+            np.ascontiguousarray(theta0, dtype=np.float64),
+            np.ascontiguousarray(theta1, dtype=np.float64),
+            np.ascontiguousarray(bias, dtype=np.int64),
+            np.ascontiguousarray(width, dtype=np.uint8),
+            np.ascontiguousarray(n, dtype=np.int64),
             np.cumsum(payload_len) - payload_len,
             payload_len,
             payload,
@@ -104,14 +106,6 @@ class PartitionTable:
         row instead of six numpy scalars."""
         cols = (self.theta0, self.theta1, self.bias, self.width, self.payload_off, self.n)
         return list(zip(*(c.tolist() for c in cols)))
-
-    def contiguous_payload(self) -> bytes:
-        """All packed deltas back to back in partition order."""
-        lens = self.payload_len
-        if len(self.payload) == lens.sum() and np.array_equal(self.payload_off, np.cumsum(lens) - lens):
-            return self.payload
-        buf = memoryview(self.payload)
-        return b"".join(buf[a : a + m] for a, m in zip(self.payload_off.tolist(), lens.tolist()))
 
 
 def payload_counts(scheme: str, lens: np.ndarray) -> np.ndarray:
@@ -175,10 +169,12 @@ class EncodedSequence:
         k = bisect_right(starts, i) - 1
         return k, i - starts[k]
 
+    @cached_property
     def value_bounds(self) -> tuple[list[int], list[int]]:
         """Per-partition ``[lo, hi]`` bounds on the stored values, from the
         headers alone: the model line's ends plus ``bias + [0, 2^width)``.
-        Exact Python integers (Delta partitions have no such bound)."""
+        Exact Python integers (Delta partitions have no such bound), built
+        on first use: a pruned scan reads them more than once."""
         t = self.partitions
         first = np.floor(t.theta0)
         last = np.floor(t.theta0 + t.theta1 * np.maximum(t.n - 1, 0))
@@ -191,31 +187,13 @@ class EncodedSequence:
     # -- serialization ------------------------------------------------------
     def to_bytes(self) -> bytes:
         t = self.partitions
-        m = len(t)
+        hdr = np.empty(len(t), dtype=_PART_HDR)
+        for name in _PART_HDR.names:
+            hdr[name] = getattr(t, name)
         flags = 1 if self.fixed_len is not None else 0
-        prefix = _GLOBAL_HDR.pack(
-            MAGIC, _SCHEMES.index(self.scheme), flags, self.n, self.dtype_bits, m
-        ) + (
-            _U32.pack(self.fixed_len)
-            if self.fixed_len is not None
-            else np.asarray(self.starts, dtype=np.uint32).tobytes()
-        )
-        hdr = np.empty(m, dtype=_PART_HDR)
-        hdr["theta0"], hdr["theta1"], hdr["bias"] = t.theta0, t.theta1, t.bias
-        hdr["width"], hdr["payload_len"] = t.width, t.payload_len
-        # interleave headers and payloads: every header byte goes to its
-        # slot with one scatter, every payload byte fills the rest in order
-        rec = _PART_HDR.itemsize + t.payload_len
-        hdr_at = len(prefix) + np.cumsum(rec) - rec
-        out = np.empty(len(prefix) + int(rec.sum()), dtype=np.uint8)
-        is_payload = np.ones(len(out), dtype=bool)
-        is_payload[: len(prefix)] = False
-        out[: len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
-        at = (hdr_at[:, None] + np.arange(_PART_HDR.itemsize)).ravel()
-        out[at] = hdr.view(np.uint8)
-        is_payload[at] = False
-        out[is_payload] = np.frombuffer(t.contiguous_payload(), dtype=np.uint8)
-        return out.tobytes()
+        prefix = _GLOBAL_HDR.pack(MAGIC, _SCHEMES.index(self.scheme), flags, self.n, self.dtype_bits, len(t))
+        layout = _U32.pack(self.fixed_len) if flags else np.asarray(self.starts, dtype=np.uint32).tobytes()
+        return b"".join((prefix, layout, hdr.tobytes(), t.payload))
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "EncodedSequence":
@@ -248,20 +226,12 @@ class EncodedSequence:
         lens = np.diff(starts.astype(np.int64), append=n)
         if n_parts and lens.min() < 1:
             raise ValueError("partition starts are not increasing within the sequence")
-        # payload_len fields chain the headers: walk them, then gather
-        hdr_at = []
-        for _ in range(n_parts):
-            if off + size > end:
-                raise ValueError("truncated partition header")
-            hdr_at.append(off)
-            off += size + _U32.unpack_from(blob, off + PARTITION_HEADER_BYTES)[0]
-        if off != end:
-            raise ValueError("truncated payload" if off > end else f"{end - off} trailing bytes")
-        at = np.asarray(hdr_at, dtype=np.int64)
-        raw = np.frombuffer(blob, dtype=np.uint8)[at[:, None] + np.arange(size)]
-        hdr = raw.view(_PART_HDR).reshape(n_parts)
-        width = hdr["width"].copy()
-        payload_len = hdr["payload_len"].astype(np.int64)
+        hdr = np.frombuffer(blob, dtype=_PART_HDR, count=n_parts, offset=off)
+        off += size * n_parts  # the payloads' start
+        width, payload_len = hdr["width"], hdr["payload_len"].astype(np.int64)
+        total = off + int(payload_len.sum())
+        if total != end:
+            raise ValueError("truncated payload" if total > end else f"{end - total} trailing bytes")
         if n_parts and width.max() > 64:
             raise ValueError(f"delta width {width.max()} exceeds 64")
         # the models each encoder writes (all finite: a NaN compares false)
@@ -279,8 +249,5 @@ class EncodedSequence:
             raise ValueError(f"partition {int(np.argmin(ok))}: non-finite or out-of-domain {scheme} model")
         if not np.array_equal(payload_len, packed_size(payload_counts(scheme, lens), width.astype(np.int64))):
             raise ValueError("payload length does not match partition length and width")
-        table = PartitionTable(
-            theta0.copy(), theta1.copy(), hdr["bias"].copy(), width,
-            lens, at + size, payload_len, blob,
-        )
+        table = PartitionTable.build(theta0, theta1, hdr["bias"], width, lens, payload_len, memoryview(blob)[off:])
         return cls(scheme, n, dtype_bits, fixed_len, starts, table)

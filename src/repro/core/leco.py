@@ -282,7 +282,7 @@ def positions_in(enc: EncodedSequence, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = [int(x) for x in lo], [int(x) for x in hi]
     t = enc.partitions
     ks, ra, rb = [], [], []  # the candidate ranges [a, b) of partition k
-    for k, (plo, phi) in enumerate(zip(*enc.value_bounds())):
+    for k, (plo, phi) in enumerate(zip(*enc.value_bounds)):
         j0, j1 = bisect.bisect_left(hi, plo), bisect.bisect_right(lo, phi)
         if j0 >= j1:
             continue  # partition skipped from the header alone
@@ -316,9 +316,12 @@ def positions_in(enc: EncodedSequence, lo, hi) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _value_at(t: PartitionTable, k: int, i: int) -> int:
-    """Value ``i`` of partition ``k``: one model inference, one bit probe."""
+    """Value ``i`` of partition ``k``: one model inference, one bit probe,
+    wrapped to int64 as the array reads wrap.  Only a corrupt ``bias`` can
+    push the sum past int64; no check of a header can bound it."""
     theta0, theta1, bias, width, off, _ = t.access_rows[k]
-    return math.floor(theta0 + theta1 * i) + bias + extract(t.payload, width, i, off)
+    v = math.floor(theta0 + theta1 * i) + bias + extract(t.payload, width, i, off)
+    return v if -(2**63) <= v < 2**63 else (v + 2**63) % 2**64 - 2**63
 
 
 #: byte offsets of the 9-byte window that holds any value of width <= 64

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..baselines.for_codec import FORCodec
-from ..core.format import _PART_HDR
 from ..core.leco import LeCoVar
 from ..rocksdb_sim.db import IO_LATENCY_S
 
@@ -66,15 +65,14 @@ class _PagedDict:
             self.enc = codec.encode(values, dtype_bits=64)
             self.codec = codec
             self.nbytes = self.enc.nbytes()
-            # byte offset of each partition within the serialized dictionary
-            sizes = _PART_HDR.itemsize + self.enc.partitions.payload_len
-            self._part_off = np.concatenate(([0], np.cumsum(sizes)))
-            starts = np.append(self.enc.starts, len(values)).astype(np.int64)
-            self._starts = starts
+            # the page holding the value's deltas in the serialized
+            # dictionary: the payloads start after the model bytes
+            base = self.enc.model_bytes()
 
             def page_of(c: int) -> int:
-                k = int(np.searchsorted(self._starts, c, side="right")) - 1
-                return int(self._part_off[k]) // PAGE
+                k, i = self.enc.partition_of(c)
+                _, _, _, width, off, _ = self.enc.partitions.access_rows[k]
+                return (base + off + i * width // 8) // PAGE
 
             self._page_of = page_of
 

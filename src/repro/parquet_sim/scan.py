@@ -62,7 +62,7 @@ def _mod_positions(blob: bytes, t1: int, t2: int, mod: int) -> np.ndarray:
     kind, obj = parse_chunk(blob)
     if kind == "seq":
         enc: EncodedSequence = obj
-        plo, phi = enc.value_bounds()
+        plo, phi = enc.value_bounds
         if not plo:
             return np.empty(0, dtype=np.int64)
         # header bounds may pass the int64 range (``bias + 2^width``)

@@ -137,15 +137,30 @@ def test_accepts_models_at_the_domain_edges(codec, theta0, theta1):
     assert EncodedSequence.from_bytes(bytes(blob)).partitions.theta1[0] == theta1
 
 
-def _header_bytes(blob: bytes) -> list[int]:
+def _header_bytes(blob: bytes) -> range:
     """Offsets of a serialized sequence's header bytes: the global header,
-    the fixed length or starts, and every partition header."""
-    enc = EncodedSequence.from_bytes(blob)
-    t = enc.partitions
-    out = list(range(17 + (4 if enc.fixed_len is not None else 4 * len(t))))
-    for at in (t.payload_off - 29).tolist():
-        out += range(at, at + 29)
-    return out
+    the fixed length or starts, and the partition header array, all ahead
+    of the payloads."""
+    return range(EncodedSequence.from_bytes(blob).model_bytes())
+
+
+@pytest.mark.parametrize("name", ["FOR-7", "LeCo-fix-7", "LeCo-var", "Delta-var"])
+def test_header_array_layout(name):
+    """The partition headers are one array of 29-byte records at ``17 + 4``
+    (fixed) or ``17 + 4m`` (var), the payloads follow it at
+    ``model_bytes()``, and a parsed table's payload is a view of the blob."""
+    enc = CODECS[name].encode(_fuzz_column(120))
+    t, m = enc.partitions, len(enc.partitions)
+    blob = enc.to_bytes()
+    at = 17 + (4 if enc.fixed_len is not None else 4 * m)
+    assert m > 1 and enc.model_bytes() == at + 29 * m
+    for k in range(m):
+        row = (t.theta0[k], t.theta1[k], t.bias[k], t.width[k], t.payload_len[k])
+        assert struct.unpack_from("<ddqBI", blob, at + 29 * k) == row
+    assert blob[enc.model_bytes() :] == bytes(t.payload)
+    parsed = EncodedSequence.from_bytes(blob).partitions.payload
+    assert len(parsed) == len(t.payload)
+    assert np.shares_memory(np.frombuffer(parsed, dtype=np.uint8), np.frombuffer(blob, dtype=np.uint8))
 
 
 def _fuzz_column(n: int = 400) -> np.ndarray:
@@ -171,9 +186,8 @@ def test_corrupt_headers_raise_or_reads_agree(name, data):
     """One to three header bytes overwritten: the parser raises
     ``ValueError``, or every read returns int64 and they agree.  For a
     sequence: ``decode``, ``access_many`` (FOR and LeCo) and ``access`` at
-    each position, exactly where the header bounds the partition's values
-    inside int64 and modulo 2^64 elsewhere (``access`` adds in Python
-    integers, the array paths wrap).  A corrupt length that would decode
+    each position agree exactly, even where a corrupt bias pushes a value
+    past int64 (every read wraps).  A corrupt length that would decode
     into more than twice the original values is read only at its first
     such positions.  For a plain or dictionary chunk: ``gather_positions``
     agrees with the parsed values."""
@@ -197,19 +211,25 @@ def test_corrupt_headers_raise_or_reads_agree(name, data):
     codec = CODECS[enc.scheme]
     p = np.arange(min(enc.n, cap))
     got = [codec.access(enc, i) for i in p.tolist()]
-    assert all(isinstance(x, int) for x in got)
-    wrapped = np.array([(x + 2**63) % 2**64 - 2**63 for x in got], dtype=np.int64)
+    assert all(isinstance(x, int) and I64_MIN <= x <= I64_MAX for x in got)
     reads = [access_many(enc, p)] if not enc.scheme.startswith("Delta") else []
     if enc.n <= cap:
         reads.append(codec.decode(enc))
     for r in reads:
-        assert r.dtype == np.int64 and np.array_equal(r, wrapped)
-    if not enc.scheme.startswith("Delta"):
-        lo, hi = enc.value_bounds()
-        k = np.searchsorted(enc.starts, p, side="right") - 1
-        inside = (np.array(lo, dtype=object) >= I64_MIN) & (np.array(hi, dtype=object) <= I64_MAX)
-        for i, x in zip(p[inside[k]].tolist(), wrapped[inside[k]].tolist()):
-            assert got[i] == x
+        assert r.dtype == np.int64 and r.tolist() == got
+
+
+@pytest.mark.parametrize("codec", [FORCodec(4), LeCoFix(4)], ids=["FOR", "LeCo-fix"])
+def test_corrupt_bias_reads_wrap_alike(codec):
+    """A bias near 2^63 passes the parser (a real partition can hold it) and
+    pushes ``bias + delta`` past int64: ``access`` wraps as ``decode`` and
+    ``access_many`` do."""
+    blob = bytearray(_blob([5, 1, 9, 3], codec))
+    struct.pack_into("<q", blob, 17 + 4 + 16, I64_MAX)  # the only partition's bias
+    enc = EncodedSequence.from_bytes(bytes(blob))
+    got = [codec.access(enc, i) for i in range(4)]
+    assert max(got) <= I64_MAX and min(got) < 0  # wrapped
+    assert codec.decode(enc).tolist() == access_many(enc, np.arange(4)).tolist() == got
 
 
 def test_rejects_zero_filled_header():

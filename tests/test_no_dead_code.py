@@ -1,6 +1,7 @@
 """No code that nothing calls: every top-level function, class and
-constant in ``src/repro`` is referenced somewhere outside its own
-definition, in the program, its tests, jobs, benchmarks or perfbench.
+constant in ``src/repro``, and every method of its classes but the dunder
+ones, is referenced somewhere outside its own definition, in the program,
+its tests, jobs, benchmarks or perfbench.
 
 A reference is an identifier (a name, an attribute or an imported name) or
 a word of a string literal that is not a docstring: ``perfbench/tracing.py``
@@ -56,6 +57,19 @@ def _parsed():
             yield path, ast.parse(path.read_text(), filename=str(path))
 
 
+def _definitions(tree: ast.Module):
+    """The module's top-level statements, then the methods of every class
+    in it (dunder methods are called by the language, not by name)."""
+    yield from tree.body
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    node.name.startswith("__") and node.name.endswith("__")
+                ):
+                    yield node
+
+
 def test_every_top_level_definition_is_referenced():
     trees = list(_parsed())
     refs: dict[str, list[tuple[Path, int]]] = {}
@@ -66,7 +80,7 @@ def test_every_top_level_definition_is_referenced():
     for path, tree in trees:
         if not path.is_relative_to(ROOT / "src" / "repro"):
             continue
-        for node in tree.body:
+        for node in _definitions(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = [node.name]
                 first = min([node.lineno] + [d.lineno for d in node.decorator_list])

@@ -1,4 +1,5 @@
 """Parquet-like store tests (§5.1), incl. DuckDB-oracle query equivalence."""
+import functools
 import os
 import struct
 import tempfile
@@ -9,9 +10,10 @@ import pytest
 
 from repro.datasets import gen_ml
 from repro.core.bitpack import pack
+from repro.core.format import EncodedSequence
 from repro.parquet_sim.encodings import TAG_DICT, decode_chunk, encode_chunk, gather_positions, parse_chunk
 from repro.parquet_sim.format import file_bytes, read_column, read_footer, write_file
-from repro.parquet_sim.scan import bitmap_select, filter_scan_mod
+from repro.parquet_sim.scan import _mod_positions, bitmap_select, filter_scan_mod
 
 DAY = 86400
 
@@ -176,3 +178,19 @@ def test_leco_file_smaller_than_default(table, tmp_path):
 def test_invalid_block_compression():
     with pytest.raises(ValueError):
         write_file(pd.DataFrame({"x": [1]}), tempfile.mkdtemp(), {"x": "leco"}, block_compression="lz77")
+
+
+@pytest.mark.parametrize("encoding", ["leco", "for"])
+def test_mod_positions_builds_value_bounds_once(monkeypatch, encoding):
+    """A pruned chunk's header bounds are read twice, for its day span and
+    for ``positions_in``'s header skip, and built once."""
+    built = []
+    bounds = EncodedSequence.value_bounds.func
+    counted = functools.cached_property(lambda enc: built.append(enc) or bounds(enc))
+    counted.__set_name__(EncodedSequence, "value_bounds")
+    monkeypatch.setattr(EncodedSequence, "value_bounds", counted)
+    day = 86_400
+    v = np.sort(np.random.default_rng(6).integers(0, 5 * day, 20_000))
+    got = _mod_positions(encode_chunk(v, encoding, partition_len=1_000), 3_600, 7_200, day)
+    assert np.array_equal(got, np.flatnonzero((v % day > 3_600) & (v % day < 7_200)))
+    assert len(built) == 1
