@@ -111,8 +111,14 @@ class _DeltaBase:
         return _decode_prefixes(t, np.arange(len(t)), t.n)
 
     def access(self, enc: EncodedSequence, i: int) -> int:
+        """Value ``i``: its partition's first value plus the ``off`` stored
+        differences before it, read by one ``unpack_rows`` call (a short
+        prefix takes its short branch), and ``off`` difference biases;
+        wrapped to int64 as the prefix sum of ``decode`` wraps."""
         k, off = enc.partition_of(i)
-        return int(_decode_partition(enc.partitions, k, off + 1)[off])
+        _, theta1, bias, width, start, _ = enc.partitions.access_rows[k]
+        v = bias + off * int(theta1) + int(unpack_rows(enc.partitions.payload, [start], [off], [width]).sum())
+        return v if -(2**63) <= v < 2**63 else (v + 2**63) % 2**64 - 2**63
 
 
 class DeltaFix(_DeltaBase):

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..core.bitpack import bits_needed_vec
 from ..core.format import EncodedSequence
-from ..core.leco import _value_at, decode_table, encode_fixed
+from ..core.leco import _LeCoBase, decode_table, encode_fixed
 
 
 def _frame_fit(rows: np.ndarray, L: int | None = None):
@@ -39,6 +39,4 @@ class FORCodec:
     def decode(self, enc: EncodedSequence) -> np.ndarray:
         return decode_table(enc)
 
-    def access(self, enc: EncodedSequence, i: int) -> int:
-        k, off = enc.partition_of(i)
-        return _value_at(enc.partitions, k, off)
+    access = _LeCoBase.access

@@ -11,7 +11,9 @@ Two families of helpers:
 * numpy path (widths 0..64): ``pack_rows`` packs ragged rows (one per
   partition) and ``unpack_rows`` reads any such rows back, from any byte
   offsets, both in groups of eight values that fill exactly ``width``
-  bytes, with one eight-lane kernel call per distinct width;
+  bytes, with one eight-lane kernel call per distinct width; a call of
+  a few values takes ``unpack_rows``' short branch instead, one 64-bit
+  word per value (``_bits_at``, which ``leco.access_many`` shares);
   ``pack``/``unpack`` are their one-row cases and ``extract`` reads one
   value in O(1).
 * big-int path (arbitrary widths, for the string extension §3.4 where
@@ -172,49 +174,109 @@ def _unpack_lanes(words: np.ndarray, width: int, lanes: np.ndarray) -> None:
         lane >>= np.uint64(64 - width)
 
 
+#: a call of at most this many values takes the short branch of
+#: :func:`unpack_rows`: below it, the lane kernel's fixed cost per call
+#: exceeds a gather of one word per value
+_SHORT = 2048
+
+
+def _bits_at(buf, bit: np.ndarray, width) -> np.ndarray:
+    """The ``width``-bit value (0..64, an int or one per value) at each bit
+    position ``bit`` of ``buf`` as uint64, by a shift and mask (Lemire &
+    Boytsov): the big-endian 64-bit word at the value's byte shifted left by
+    the bit's place in that byte, the ninth byte's top bits or'ed in for a
+    width above 57, then shifted down by ``64 − width``.  Every value must
+    end inside ``buf``; one whose word would run past it reads the last
+    eight bytes, shifted further."""
+    raw = np.frombuffer(buf, dtype=np.uint8)
+    if len(raw) < 9:
+        raw = np.concatenate([raw, np.zeros(9, dtype=np.uint8)])
+    word = bit >> 3
+    if len(word) and int(word.max()) > len(raw) - 8:  # the last values read the last word, shifted further
+        word = np.minimum(word, len(raw) - 8)
+        shift = (bit - 8 * word).view(np.uint64)
+    else:
+        shift = (bit & 7).view(np.uint64)
+    out = np.ndarray((len(raw) - 7,), ">u8", raw, 0, (1,))[word].astype(np.uint64) << shift
+    one = isinstance(width, int)
+    if (width if one else width.max(initial=0)) > 57:  # the ninth byte, where the word is the value's own
+        ninth = raw[np.minimum(word + 8, len(raw) - 1)] >> (np.uint64(8) - shift)
+        out |= np.where(shift < 8, ninth, np.uint64(0))
+    if not one:
+        return np.where(width > 0, out >> (np.uint64(64) - width.astype(np.uint64)), np.uint64(0))
+    return out >> np.uint64(64 - width) if width else np.zeros(len(out), dtype=np.uint64)
+
+
 def unpack_rows(buf: bytes, offsets, counts, widths) -> np.ndarray:
     """Inverse of :func:`pack_rows`: the rows back to back as uint64; row
     ``k`` is ``counts[k]`` values packed at ``widths[k]`` bits from byte
-    ``offsets[k]`` of ``buf``.  Rows are read in groups of eight values
-    (``width`` bytes): one :func:`_unpack_lanes` call per width fills a lane
-    matrix sorted by width, which is put back in row order and trimmed of
-    pad lanes once.  A width's groups are one strided view when they lie
-    back to back (adjacent rows of one width, in an encoder's table or a
-    parsed blob's: a blob holds no headers between its payloads), else
-    gathered.  Pad lanes may read past their row, and past ``buf`` as
-    zeros; a row whose bytes do not lie inside ``buf`` raises ``ValueError``."""
+    ``offsets[k]`` of ``buf``.  A row whose bytes do not lie inside ``buf``,
+    or a width outside [0, 64], raises ``ValueError``.
+
+    The fixed cost scales with the call.  A few rows are checked in Python.
+    A call of at most :data:`_SHORT` values reads each value on its own
+    (:func:`_bits_at`).  Otherwise rows are read in groups of eight values
+    (``width`` bytes): one :func:`_unpack_lanes` call per width > 0 fills a
+    lane matrix, sorted by width only when the call mixes widths, whose
+    width-0 groups stay out of it as zeros, and trimmed of the pad lanes of
+    every row but the last only when one has them.  A width's groups are
+    one strided view when they lie back to back (adjacent rows of one width,
+    in an encoder's table or a parsed blob's), else gathered.  Pad lanes may
+    read past their row, and past ``buf`` as zeros."""
     off, n, w = (np.asarray(x, dtype=np.int64).reshape(-1) for x in (offsets, counts, widths))
     if not len(off) == len(n) == len(w):
         raise ValueError(f"{len(off)} offsets, {len(n)} counts and {len(w)} widths")
-    if not 0 <= w.min(initial=0) <= w.max(initial=0) <= 64:
-        raise ValueError(f"width must be in [0, 64], got {w.min()}..{w.max()}")
+    size = memoryview(buf).nbytes
+    if len(n) <= 8:
+        rows = list(zip(off.tolist(), n.tolist(), w.tolist()))
+        bad = not all(0 <= c and 0 <= wd <= 64 and 0 <= o and o + (c * wd + 7) // 8 <= size for o, c, wd in rows)
+        total, one = sum(c for _, c, _ in rows), len({wd for _, _, wd in rows}) == 1
+    else:
+        # a count is clipped to one no row of the buffer can hold, so that n·width cannot overflow
+        end = off + packed_size(np.minimum(n, 8 * size + 8), w)
+        bad = min(n.min(), off.min(), w.min()) < 0 or w.max() > 64 or end.max() > size
+        total, one = int(n.sum()), False
+    if bad:
+        raise ValueError(f"rows of counts {n.tolist()[:4]}… at widths {w.tolist()[:4]}… are not inside {size} bytes")
+    if total <= _SHORT:
+        if len(n) == 1:
+            o, c, wd = rows[0]
+            return _bits_at(buf, 8 * o + wd * np.arange(c), wd)
+        wv = int(w[0]) if one else np.repeat(w, n)
+        return _bits_at(buf, np.repeat(off * 8 - (np.cumsum(n) - n) * w, n) + np.arange(total) * wv, wv)
+    if not w.any():  # width-0 rows hold zeros and no bytes
+        return np.zeros(total, dtype=np.uint64)
     raw = np.frombuffer(buf, dtype=np.uint8)
-    # a count is clipped to one no row of the buffer can hold, so that n·width cannot overflow
-    end = off + packed_size(np.minimum(n, 8 * len(raw) + 8), w)
-    if min(n.min(initial=0), off.min(initial=0)) < 0 or end.max(initial=0) > len(raw):
-        raise ValueError(f"rows of counts {n.tolist()[:4]}… do not lie inside the {len(raw)}-byte buffer")
     groups = (n + 7) // 8
     gw = np.repeat(w, groups)
     at = np.repeat(off - (np.cumsum(groups) - groups) * w, groups) + np.arange(len(gw)) * gw
     if at.max(initial=0) > len(raw) - 64:  # words may run past the buffer: read zeros there
         lo = int(at.min(initial=0))
         raw, at = np.concatenate([raw[lo:], np.zeros(64, dtype=np.uint8)]), at - lo
-    order = np.argsort(gw.astype(np.uint8), kind="stable")  # by width, each width's in row order
-    gw, at = gw[order], at[order]
-    lanes = np.zeros((8, len(gw)), dtype=np.uint64)
+    mixed = w.min() < w.max()
+    if mixed:  # by width, each width's groups in row order
+        order = np.argsort(gw.astype(np.uint8), kind="stable")
+        gw, at = gw[order], at[order]
+    z = int(np.searchsorted(gw, 1)) if mixed else 0  # width-0 groups sort first and stay out of the lanes
+    lanes = np.empty((8, len(gw) - z), dtype=np.uint64)
     for width in np.unique(w[(w > 0) & (n > 0)]).tolist():
-        s, e = np.searchsorted(gw, [width, width + 1]).tolist()
+        s, e = np.searchsorted(gw, [width, width + 1]).tolist() if mixed else (0, len(gw))
         a, nb = at[s:e], (width + 7) // 8 * 8  # a group reads its whole words
         if (a[1:] - a[:-1] == width).all():  # back to back: one strided view
             words = np.ndarray((e - s, nb // 8), ">u8", raw, int(a[0]), (width, 8))
         else:  # ``raw`` seen as overlapping ``nb``-byte items, one per byte offset
             words = np.ndarray((len(raw) - nb + 1,), f"V{nb}", raw, 0, (1,))[a].view(">u8").reshape(e - s, -1)
-        _unpack_lanes(words.T.astype(np.uint64, order="C"), width, lanes[:, s:e])
-    inv = np.empty_like(order)  # back to row order: group ``order[i]`` is row ``i`` of the matrix
-    inv[order] = np.arange(len(order))
-    pad = groups * 8 - n  # lanes past a row's count, at the end of its last group
-    at = np.repeat(np.cumsum(groups * 8) - np.cumsum(pad), pad) + np.arange(int(pad.sum()))
-    return np.delete(lanes.T[inv].reshape(-1), at)
+        _unpack_lanes(words.T.astype(np.uint64, order="C"), width, lanes[:, s - z : e - z])
+    if mixed:  # back to row order: matrix row ``i`` is group ``order[z + i]``; width-0 groups are zeros
+        vals = np.zeros((len(gw), 8), dtype=np.uint64)
+        vals[order[z:]] = lanes.T
+    else:
+        vals = lanes.T
+    vals, pad = vals.reshape(-1), groups * 8 - n  # lanes past a row's count, at the end of its last group
+    if pad[:-1].any():
+        at = np.repeat(np.cumsum(groups * 8) - np.cumsum(pad), pad) + np.arange(int(pad.sum()))
+        vals = np.delete(vals, at)
+    return vals[:total]
 
 
 def pack(values: np.ndarray, width: int) -> bytes:

@@ -157,6 +157,14 @@ class EncodedSequence:
         scalar locator bisects it without a numpy scalar per read."""
         return self.starts.tolist()
 
+    @cached_property
+    def point_state(self) -> tuple[list, bytes, int, int | None, list[int]]:
+        """``(access_rows, payload, n, fixed_len, start_list)``: what a point
+        read needs, as plain Python data, built on first use, so that
+        ``access`` reads a value in one frame."""
+        t = self.partitions
+        return t.access_rows, t.payload, self.n, self.fixed_len, self.start_list
+
     def partition_of(self, i: int) -> tuple[int, int]:
         """Return ``(partition_index, local_offset)`` for global position ``i``:
         ``divmod`` for a fixed-length layout, one bisection of

@@ -11,17 +11,19 @@ a bit-packed unsigned delta array, giving O(1) random access:
 FOR is the θ0 = θ1 = 0 case of the same layout, so FOR shares this module's
 decode and access kernels.  FOR, LeCo and Delta differ only in their
 per-partition fit and their layout: every one of them encodes through
-:func:`encode_fixed` or :func:`encode_var`, and reads its deltas with one
-ragged ``unpack_rows`` call whatever the layout (:func:`_read` here).
+:func:`encode_fixed` or :func:`encode_var`, and reads blocks through
+:func:`_read` here whatever the layout (a short read value by value in
+Python, a longer one with one ragged ``unpack_rows`` call).
 """
 from __future__ import annotations
 
 import bisect
 import math
+from bisect import bisect_right
 
 import numpy as np
 
-from .bitpack import bits_needed_vec, extract, pack_rows, packed_size, unpack_rows
+from .bitpack import _bits_at, bits_needed_vec, pack_rows, packed_size, unpack_rows
 from .format import _SAFE, EncodedSequence, PartitionTable, fixed_size, payload_counts
 from .partitioner import fixed_partitions, fixed_rows, search_fixed_length, var_partitions
 from .regressor import LinearRegressor, positions
@@ -230,15 +232,34 @@ def encode_var(scheme: str, values, dtype_bits: int, starts: np.ndarray, fit) ->
     return EncodedSequence(scheme, len(v), dtype_bits, None, starts, table)
 
 
+#: a read of at most this many values takes :func:`_read`'s scalar branch:
+#: below it, the numpy passes' fixed cost exceeds a Python step per value
+_SCALAR = 128
+
+
 def _read(t: PartitionTable, ks, a, b) -> np.ndarray:
     """Values ``[a[r], b[r])`` of partitions ``ks[r]`` of a LeCo or FOR table,
-    back to back, from one ``unpack_rows`` call: each range is read from the
-    start of its group of eight and its leading ``a % 8`` deltas dropped.
-    Value ``i`` is §3.3's ``floor(θ0 + θ1·i) + bias + delta``, flat over all
-    ranges.  Flat rows (θ1 = 0, as in FOR) add ``floor(θ0) + bias`` with no
-    float pass when all rows are flat, so when they hold most values they are read apart."""
+    back to back.  Value ``i`` is §3.3's ``floor(θ0 + θ1·i) + bias + delta``.
+    A read of at most ``_SCALAR`` values takes it value by value in Python,
+    each range's bytes one int, and wraps to int64 as the array path does.
+    Otherwise one ``unpack_rows`` call reads every range from the start of
+    its group of eight, its leading ``a % 8`` deltas dropped, and the model
+    is added flat over all ranges.  Flat rows (θ1 = 0, as in FOR) add
+    ``floor(θ0) + bias`` with no float pass when all rows are flat, so when
+    they hold most values they are read apart."""
     ks, a, b = (np.asarray(x, dtype=np.int64) for x in (ks, a, b))
-    sloped, n = t.theta1[ks] != 0, b - a
+    n = b - a
+    if n.sum() <= _SCALAR:
+        cols, buf, out = (t.theta0, t.theta1, t.bias, t.width, t.payload_off), t.payload, []
+        for theta0, theta1, bias, width, off, s, e in zip(*(c[ks].tolist() for c in cols), a.tolist(), b.tolist()):
+            end, mask = off * 8 + e * width, (1 << width) - 1
+            x = int.from_bytes(buf[off + s * width // 8 : (end + 7) >> 3], "big") >> (-end % 8)
+            out += [math.floor(theta0 + theta1 * i) + bias + (x >> (e - 1 - i) * width & mask) for i in range(s, e)]
+        try:
+            return np.array(out, dtype=np.int64)
+        except OverflowError:  # only a corrupt bias leaves int64
+            return np.array([(v + 2**63) % 2**64 - 2**63 for v in out], dtype=np.int64)
+    sloped = t.theta1[ks] != 0
     if sloped.any() and 2 * n[~sloped].sum() >= n.sum():  # mostly flat: each kind alone
         out, at = np.empty(int(n.sum()), dtype=np.int64), np.repeat(sloped, n)
         out[at], out[~at] = (_read(t, ks[x], a[x], b[x]) for x in (sloped, ~sloped))
@@ -315,26 +336,13 @@ def positions_in(enc: EncodedSequence, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     return pos[keep], v[keep]
 
 
-def _value_at(t: PartitionTable, k: int, i: int) -> int:
-    """Value ``i`` of partition ``k``: one model inference, one bit probe,
-    wrapped to int64 as the array reads wrap.  Only a corrupt ``bias`` can
-    push the sum past int64; no check of a header can bound it."""
-    theta0, theta1, bias, width, off, _ = t.access_rows[k]
-    v = math.floor(theta0 + theta1 * i) + bias + extract(t.payload, width, i, off)
-    return v if -(2**63) <= v < 2**63 else (v + 2**63) % 2**64 - 2**63
-
-
-#: byte offsets of the 9-byte window that holds any value of width <= 64
-_WINDOW = np.arange(9)
-
-
 def access_many(enc: EncodedSequence, positions) -> np.ndarray:
     """Values at global ``positions`` (any order, repeats allowed) of a LeCo
     or FOR sequence, in one vectorized pass of §3.3's Decoder: each value
-    is one model inference plus one delta read from the 9-byte big-endian
-    window at bit ``payload_off·8 + i·width``, with the prediction computed
-    exactly as :func:`_decode_partition` computes it.  Raises ``IndexError``
-    for a position outside ``[0, n)``."""
+    is one model inference plus one delta read at bit ``payload_off·8 +
+    i·width`` (``bitpack._bits_at``), with the prediction computed exactly
+    as :func:`_read` computes it.  Raises ``IndexError`` for a position
+    outside ``[0, n)``."""
     t = enc.partitions
     p = np.asarray(positions, dtype=np.int64)
     if p.size and not 0 <= int(p.min()) <= int(p.max()) < enc.n:
@@ -342,19 +350,7 @@ def access_many(enc: EncodedSequence, positions) -> np.ndarray:
     k = np.searchsorted(enc.starts, p, side="right") - 1
     i = p - enc.starts[k]
     w = t.width[k].astype(np.int64)
-    bit = t.payload_off[k] * 8 + i * w
-    buf = np.frombuffer(t.payload, dtype=np.uint8)
-    # every value ends inside the buffer, and window bytes past its end only
-    # feed bits below the value: clip them to the last byte (a zero byte
-    # when nothing is packed)
-    buf = buf if len(buf) else np.zeros(1, dtype=np.uint8)
-    win = buf[np.minimum((bit // 8)[:, None] + _WINDOW, len(buf) - 1)]
-    skip = (bit % 8).astype(np.uint64)
-    # the 64 bits from ``bit`` on; a value is their top ``width`` bits
-    top = (win[:, :8].copy().view(">u8")[:, 0].astype(np.uint64) << skip) | (
-        win[:, 8].astype(np.uint64) >> (np.uint64(8) - skip)
-    )
-    deltas = np.where(w > 0, top >> (64 - w).astype(np.uint64), np.uint64(0)).view(np.int64)
+    deltas = _bits_at(t.payload, t.payload_off[k] * 8 + i * w, w).view(np.int64)
     return np.floor(t.theta0[k] + t.theta1[k] * i).astype(np.int64) + t.bias[k] + deltas
 
 
@@ -371,8 +367,25 @@ class _LeCoBase:
         return decode_table(enc)
 
     def access(self, enc: EncodedSequence, i: int) -> int:
-        k, off = enc.partition_of(i)
-        return _value_at(enc.partitions, k, off)
+        """Value ``i`` by §3.3's Decoder in one frame: the partition by
+        ``divmod`` or one bisection, one model inference, and the delta by
+        a shift and mask of the bytes that hold it.  The sum wraps to int64
+        as the array reads wrap; only a corrupt ``bias`` can leave int64,
+        and no check of a header can bound it.  Raises ``IndexError``
+        outside ``[0, n)``."""
+        rows, buf, n, L, starts = enc.point_state
+        if not 0 <= i < n:
+            raise IndexError(f"position {i} outside [0, {n})")
+        if L is not None:
+            k, i = divmod(i, L)
+        else:
+            k = bisect_right(starts, i) - 1
+            i -= starts[k]
+        theta0, theta1, bias, width, off, _ = rows[k]
+        end = off * 8 + (i + 1) * width
+        delta = int.from_bytes(buf[(end - width) >> 3 : (end + 7) >> 3], "big") >> (-end % 8) & ((1 << width) - 1)
+        v = math.floor(theta0 + theta1 * i) + bias + delta
+        return v if -(2**63) <= v < 2**63 else (v + 2**63) % 2**64 - 2**63
 
     def decode_range(self, enc: EncodedSequence, start: int, stop: int) -> np.ndarray:
         """Decode global positions ``[start, stop)`` touching only the needed

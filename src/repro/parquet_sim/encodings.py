@@ -82,7 +82,7 @@ def parse_chunk(blob: bytes):
         if n and int(codes.max()) >= ndv:
             raise ValueError(f"dictionary code {int(codes.max())} beyond the {ndv}-entry dictionary")
         return "dict", uniq[codes.astype(np.int64)]
-    return "seq", EncodedSequence.from_bytes(blob[1:])
+    return "seq", EncodedSequence.from_bytes(memoryview(blob)[1:])  # no copy of the chunk
 
 
 def decode_chunk(blob: bytes) -> np.ndarray:

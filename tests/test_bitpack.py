@@ -1,4 +1,6 @@
 """Unit tests for the bit-packing substrate (core/bitpack)."""
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -292,6 +294,40 @@ def test_unpack_rows_edges_and_bad_input():
         unpack_rows(b"\x00" * 8, [-1], [1], [3])
     with pytest.raises(ValueError):  # 2^60 values could not fit, and 2^60 · 64 bits would overflow
         unpack_rows(b"\x00" * 8, [0], [2**60], [64])
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_unpack_rows_short_branch_equals_lane_kernel(data):
+    """Both branches of ``unpack_rows``, each value read on its own (a call
+    of at most ``_SHORT`` values) and the lane kernel, return what
+    ``pack_rows`` packed: widths 0..64 (each row with its top value), rows
+    at any byte offset behind any head and read in any order, few rows
+    (checked in Python) or many (checked by numpy), a table that ends on the
+    buffer's last byte; and both raise ``ValueError`` on a buffer cut inside
+    a row."""
+    g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    m = data.draw(st.integers(1, 12))
+    rows, counts, widths = _ragged_rows(data, g, m)
+    if data.draw(st.booleans()):  # the widest and narrowest rows side by side
+        widths[: min(m, 2)] = [64, 0][: min(m, 2)]
+        rows[0] = g.integers(0, 2**64 - 1, counts[0], dtype=np.uint64, endpoint=True)
+        rows[1:2] = [np.zeros(counts[1], dtype=np.uint64)] if m > 1 else []
+    head = data.draw(st.binary(max_size=9))
+    body = pack_rows(_flat(rows), counts, widths)
+    buf = head + body + data.draw(st.sampled_from([b"", b"\xff", bytes(9)]))
+    sizes = bitpack.packed_size(counts, widths)
+    offsets = len(head) + np.cumsum(sizes) - sizes
+    order = g.permutation(m)
+    args = offsets[order], counts[order], widths[order]
+    cut = len(head) + data.draw(st.integers(0, len(body)))
+    for short in (0, bitpack._SHORT):
+        with mock.patch.object(bitpack, "_SHORT", short):
+            got = unpack_rows(buf, *args)
+            assert got.dtype == np.uint64 and np.array_equal(got, _flat([rows[k] for k in order]))
+            if (offsets + sizes > cut).any():
+                with pytest.raises(ValueError):
+                    unpack_rows(buf[:cut], *args)
 
 
 @given(st.data())

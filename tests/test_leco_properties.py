@@ -221,6 +221,66 @@ def test_range_reads_start_and_end_mid_group(layout, seed, n, data):
     assert np.array_equal(pos, np.flatnonzero(mask)) and np.array_equal(vals, v[mask])
 
 
+_POINT_LAYOUTS = {
+    "FOR": lambda: FORCodec(16),
+    "LeCo-fix": lambda: LeCoFix(16),
+    "LeCo-var": LeCoVar,
+    "LeCo-angle": lambda: LeCoAngle(4),
+    "Delta-fix": lambda: DeltaFix(16),
+    "Delta-var": DeltaVar,
+}
+
+
+@given(st.sampled_from(sorted(_POINT_LAYOUTS)), st.integers(0, 2**32 - 1), st.integers(0, 300), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_access_equals_decode_everywhere(layout, seed, n, parsed):
+    """``access`` equals the full decode at every position, so at every
+    partition edge, of a sequence in memory or read back by ``from_bytes``
+    (a memoryview payload): a flat run (width 0), int64's two ends side by
+    side (width 64) and a random walk.  A position outside ``[0, n)``
+    raises ``IndexError``."""
+    v = np.r_[np.full(20, 7), [-(2**63), 2**63 - 1, 0] * 7, _column(seed, n)].astype(np.int64)
+    codec = _POINT_LAYOUTS[layout]()
+    enc = codec.encode(v)
+    if parsed:
+        enc = EncodedSequence.from_bytes(enc.to_bytes())
+    assert {0, 64} <= set(enc.partitions.width.tolist())
+    out = codec.decode(enc)
+    assert np.array_equal(out, v)
+    assert [codec.access(enc, i) for i in range(len(v))] == out.tolist()
+    for i in (-1, len(v), len(v) + 8):
+        with pytest.raises(IndexError):
+            codec.access(enc, i)
+
+
+@given(st.sampled_from(["FOR", "LeCo-fix", "LeCo-var", "LeCo-angle"]), st.integers(0, 2**32 - 1),
+       st.integers(1, 400), st.data())
+@settings(max_examples=100, deadline=None)
+def test_read_scalar_branch_equals_array_branch(layout, seed, n, data):
+    """``leco._read`` takes a read of at most ``_SCALAR`` values in Python
+    and a longer one in numpy passes: both give the same int64 values for a
+    full decode, a ``decode_range`` and a ``positions_in``, in memory and
+    read back by ``from_bytes``."""
+    v = _column(seed, n)
+    codec = _POINT_LAYOUTS[layout]()
+    enc = codec.encode(v)
+    if data.draw(st.booleans()):
+        enc = EncodedSequence.from_bytes(enc.to_bytes())
+    a = data.draw(st.integers(0, n - 1))
+    b = data.draw(st.integers(a + 1, n))
+    lo, hi = sorted([int(v[a]), int(v[b - 1])])
+    reads = [lambda: leco.decode_table(enc), lambda: positions_in(enc, [lo], [hi])[1]]
+    if hasattr(codec, "decode_range"):  # FOR has none
+        reads.append(lambda: codec.decode_range(enc, a, b))
+    for read in reads:
+        with mock.patch.object(leco, "_SCALAR", 0):
+            array = read()
+        with mock.patch.object(leco, "_SCALAR", 10**9):
+            scalar = read()
+        assert array.dtype == scalar.dtype == np.int64 and np.array_equal(array, scalar)
+    assert np.array_equal(reads[0](), v)
+
+
 def test_range_reads_reach_mid_group_ranges():
     """The reads above do reach the reader with ranges that start off the
     group grid: on a rising column, ``decode_range`` and ``positions_in``

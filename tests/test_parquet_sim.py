@@ -57,6 +57,18 @@ def test_gather_positions(encoding):
     assert np.array_equal(gather_positions(blob, dense), v[dense])
 
 
+@pytest.mark.parametrize("encoding", ["for", "leco"])
+def test_parsed_chunk_shares_the_blob(encoding):
+    """A FOR or LeCo chunk is parsed without copying it: the sequence's
+    payload is a view of the blob, and it decodes to the column."""
+    v = np.sort(np.random.default_rng(4).integers(0, 10**8, 3000))
+    blob = encode_chunk(v, encoding, partition_len=500)
+    kind, enc = parse_chunk(blob)
+    assert kind == "seq" and np.array_equal(decode_chunk(blob), v)
+    payload = np.frombuffer(enc.partitions.payload, dtype=np.uint8)
+    assert len(payload) and np.shares_memory(payload, np.frombuffer(blob, dtype=np.uint8))
+
+
 def test_dictionary_fallback_to_plain():
     g = np.random.default_rng(3)
     unique_heavy = g.integers(0, 2**50, 5000)  # ~all distinct → plain
