@@ -98,11 +98,6 @@ def _decode_prefixes(t: PartitionTable, ks, counts) -> np.ndarray:
     return c
 
 
-def _decode_partition(t: PartitionTable, k: int, upto: int | None = None) -> np.ndarray:
-    """The first ``upto`` (≥ 1) values of partition ``k``: one :func:`_decode_prefixes` row."""
-    return _decode_prefixes(t, [k], [t.n[k] if upto is None else upto])
-
-
 class _DeltaBase:
     supports_random_access = False  # access is O(partition prefix)
 

@@ -11,9 +11,9 @@ Two families of helpers:
 * numpy path (widths 0..64): ``pack_rows`` packs ragged rows (one per
   partition) and ``unpack_rows`` reads any such rows back, from any byte
   offsets, both in groups of eight values that fill exactly ``width``
-  bytes, with one eight-lane kernel call per distinct width; a call of
-  a few values takes ``unpack_rows``' short branch instead, one 64-bit
-  word per value (``_bits_at``, which ``leco.access_many`` shares);
+  bytes, with one eight-lane kernel call per distinct width; one short
+  row takes ``unpack_rows``' short branch instead, one 64-bit word per
+  value (``_bits_at``, which ``leco.access_many`` shares);
   ``pack``/``unpack`` are their one-row cases and ``extract`` reads one
   value in O(1).
 * big-int path (arbitrary widths, for the string extension §3.4 where
@@ -174,10 +174,11 @@ def _unpack_lanes(words: np.ndarray, width: int, lanes: np.ndarray) -> None:
         lane >>= np.uint64(64 - width)
 
 
-#: a call of at most this many values takes the short branch of
-#: :func:`unpack_rows`: below it, the lane kernel's fixed cost per call
-#: exceeds a gather of one word per value
-_SHORT = 2048
+#: a one-row call of at most this many values takes the short branch of
+#: :func:`unpack_rows`, one word per value: up to 4,096 values it beat the
+#: lane kernel at widths 1, 13, 40 and 64 (one row of width 13 on a 4-vCPU
+#: VM: 65 against 101 µs; at 12,288 values 135 against 125 µs)
+_SHORT = 4096
 
 
 def _bits_at(buf, bit: np.ndarray, width) -> np.ndarray:
@@ -213,37 +214,29 @@ def unpack_rows(buf: bytes, offsets, counts, widths) -> np.ndarray:
     ``offsets[k]`` of ``buf``.  A row whose bytes do not lie inside ``buf``,
     or a width outside [0, 64], raises ``ValueError``.
 
-    The fixed cost scales with the call.  A few rows are checked in Python.
-    A call of at most :data:`_SHORT` values reads each value on its own
-    (:func:`_bits_at`).  Otherwise rows are read in groups of eight values
-    (``width`` bytes): one :func:`_unpack_lanes` call per width > 0 fills a
-    lane matrix, sorted by width only when the call mixes widths, whose
-    width-0 groups stay out of it as zeros, and trimmed of the pad lanes of
-    every row but the last only when one has them.  A width's groups are
-    one strided view when they lie back to back (adjacent rows of one width,
-    in an encoder's table or a parsed blob's), else gathered.  Pad lanes may
+    The fixed cost scales with the call.  One row of at most :data:`_SHORT`
+    values (a Delta prefix, or one partition's range) is read one 64-bit
+    word per value (:func:`_bits_at`).  Otherwise rows are read in groups
+    of eight values (``width`` bytes): one :func:`_unpack_lanes` call per
+    width > 0 fills a lane matrix, sorted by width only when the call mixes
+    widths, whose width-0 groups stay out of it as zeros, and trimmed of the
+    pad lanes of every row but the last only when one has them.  A width's
+    groups are one strided view when they lie back to back (adjacent rows
+    of one width, in an encoder's table or a parsed blob's), else gathered.
+    Pad lanes may
     read past their row, and past ``buf`` as zeros."""
     off, n, w = (np.asarray(x, dtype=np.int64).reshape(-1) for x in (offsets, counts, widths))
     if not len(off) == len(n) == len(w):
         raise ValueError(f"{len(off)} offsets, {len(n)} counts and {len(w)} widths")
     size = memoryview(buf).nbytes
-    if len(n) <= 8:
-        rows = list(zip(off.tolist(), n.tolist(), w.tolist()))
-        bad = not all(0 <= c and 0 <= wd <= 64 and 0 <= o and o + (c * wd + 7) // 8 <= size for o, c, wd in rows)
-        total, one = sum(c for _, c, _ in rows), len({wd for _, _, wd in rows}) == 1
-    else:
-        # a count is clipped to one no row of the buffer can hold, so that n·width cannot overflow
-        end = off + packed_size(np.minimum(n, 8 * size + 8), w)
-        bad = min(n.min(), off.min(), w.min()) < 0 or w.max() > 64 or end.max() > size
-        total, one = int(n.sum()), False
-    if bad:
+    # a count is clipped to one no row of the buffer can hold, so that n·width cannot overflow
+    end = off + packed_size(np.minimum(n, 8 * size + 8), w)
+    if np.concatenate((off, n, w)).min(initial=0) < 0 or w.max(initial=0) > 64 or end.max(initial=0) > size:
         raise ValueError(f"rows of counts {n.tolist()[:4]}… at widths {w.tolist()[:4]}… are not inside {size} bytes")
-    if total <= _SHORT:
-        if len(n) == 1:
-            o, c, wd = rows[0]
-            return _bits_at(buf, 8 * o + wd * np.arange(c), wd)
-        wv = int(w[0]) if one else np.repeat(w, n)
-        return _bits_at(buf, np.repeat(off * 8 - (np.cumsum(n) - n) * w, n) + np.arange(total) * wv, wv)
+    total = int(n.sum())
+    if len(n) == 1 and total <= _SHORT:
+        width = int(w[0])
+        return _bits_at(buf, 8 * int(off[0]) + width * np.arange(total), width)
     if not w.any():  # width-0 rows hold zeros and no bytes
         return np.zeros(total, dtype=np.uint64)
     raw = np.frombuffer(buf, dtype=np.uint8)

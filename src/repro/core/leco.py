@@ -232,8 +232,12 @@ def encode_var(scheme: str, values, dtype_bits: int, starts: np.ndarray, fit) ->
     return EncodedSequence(scheme, len(v), dtype_bits, None, starts, table)
 
 
-#: a read of at most this many values takes :func:`_read`'s scalar branch:
-#: below it, the numpy passes' fixed cost exceeds a Python step per value
+#: a read of at most this many values takes :func:`_read`'s scalar branch.
+#: Its cost grows with the range's bytes, as each shift copies the range's
+#: int: it beat the array path up to about 650 values on books' narrow
+#: deltas but only up to about 100 at width 64 (books and random int64
+#: columns of 200K values on a 4-vCPU VM: 128 values take 47 against 130
+#: µs on books, 77 to 119 against 87 to 94 µs at width 64)
 _SCALAR = 128
 
 

@@ -324,7 +324,7 @@ def test_decode_table_equals_per_partition_decode(values, codec, L):
     enc = EncodedSequence.from_bytes(codec(L).encode(v).to_bytes())
     got = codec().decode(enc)
     assert "access_rows" not in vars(enc.partitions)  # no per-partition header tuples
-    part = delta_codec._decode_partition if codec is DeltaFix else leco._decode_partition
+    part = leco._decode_partition if codec is not DeltaFix else lambda t, k: delta_codec._decode_prefixes(t, [k], [t.n[k]])
     parts = [part(enc.partitions, k) for k in range(len(enc.partitions))]
     want = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
     assert got.dtype == np.int64
@@ -348,7 +348,7 @@ def test_var_decode_table_equals_per_partition_decode(values, codec):
     enc = EncodedSequence.from_bytes(codec().encode(v).to_bytes())
     got = codec().decode(enc)
     assert "access_rows" not in vars(enc.partitions)  # no per-partition header tuples
-    part = delta_codec._decode_partition if codec is DeltaVar else leco._decode_partition
+    part = leco._decode_partition if codec is not DeltaVar else lambda t, k: delta_codec._decode_prefixes(t, [k], [t.n[k]])
     parts = [part(enc.partitions, k) for k in range(len(enc.partitions))]
     want = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
     assert got.dtype == np.int64
