@@ -304,7 +304,7 @@ def test_unpack_rows_short_branch_equals_lane_kernel(data):
     ``pack_rows`` packed: widths 0..64 (each row with its top value), rows
     at any byte offset behind any head and read in any order, one row or
     many, a table that ends on the buffer's last byte; and both raise
-    ``ValueError`` on a buffer cut inside a row."""
+    ``ValueError`` on a buffer cut inside a row or a width outside [0, 64]."""
     g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     m = data.draw(st.one_of(st.just(1), st.integers(1, 12)))
     rows, counts, widths = _ragged_rows(data, g, m)
@@ -327,6 +327,9 @@ def test_unpack_rows_short_branch_equals_lane_kernel(data):
             if (offsets + sizes > cut).any():
                 with pytest.raises(ValueError):
                     unpack_rows(buf[:cut], *args)
+            for bad in (65, -1):  # a width outside [0, 64], in one row or among many
+                with pytest.raises(ValueError):
+                    unpack_rows(buf, args[0], args[1], np.where(np.arange(m) == m - 1, bad, args[2]))
 
 
 @given(st.data())
