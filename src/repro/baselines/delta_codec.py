@@ -17,7 +17,7 @@ import numpy as np
 
 from ..core.bitpack import bits_needed, bits_needed_vec, unpack_rows
 from ..core.format import EncodedSequence, PartitionTable
-from ..core.leco import encode_fixed, encode_var
+from ..core.leco import _SCALAR, _window, encode_fixed, encode_var
 from ..core.partitioner import var_partitions
 
 #: a difference bias at or below this is not exact in the float θ1
@@ -107,12 +107,22 @@ class _DeltaBase:
 
     def access(self, enc: EncodedSequence, i: int) -> int:
         """Value ``i``: its partition's first value plus the ``off`` stored
-        differences before it, read by one ``unpack_rows`` call (a short
-        prefix takes its short branch), and ``off`` difference biases;
-        wrapped to int64 as the prefix sum of ``decode`` wraps."""
+        differences before it and ``off`` difference biases; wrapped to
+        int64 as the prefix sum of ``decode`` wraps.  A prefix of at most
+        ``_SCALAR`` differences is summed in Python over one int of its
+        bytes (``leco._window``, as ``_read`` reads a short range), a
+        longer one read by one ``unpack_rows`` call."""
         k, off = enc.partition_of(i)
-        _, theta1, bias, width, start, _ = enc.partitions.access_rows[k]
-        v = bias + off * int(theta1) + int(unpack_rows(enc.partitions.payload, [start], [off], [width]).sum())
+        t = enc.partitions
+        _, theta1, bias, width, start, _ = t.access_rows[k]
+        if off > _SCALAR:
+            total = int(unpack_rows(t.payload, [start], [off], [width]).sum())
+        elif width:
+            x, mask = _window(t.payload, start, width, 0, off), (1 << width) - 1
+            total = sum([x >> s & mask for s in range(0, off * width, width)])
+        else:  # the differences all equal the bias and take no bytes
+            total = 0
+        v = bias + off * int(theta1) + total
         return v if -(2**63) <= v < 2**63 else (v + 2**63) % 2**64 - 2**63
 
 

@@ -241,6 +241,14 @@ def encode_var(scheme: str, values, dtype_bits: int, starts: np.ndarray, fit) ->
 _SCALAR = 128
 
 
+def _window(buf, off: int, width: int, s: int, e: int) -> int:
+    """Values ``[s, e)`` of the ``width``-bit row packed from byte ``off`` of
+    ``buf`` as one int, read from the bytes that hold them: value ``i`` is
+    ``x >> (e − 1 − i)·width & (2^width − 1)``."""
+    end = off * 8 + e * width
+    return int.from_bytes(buf[off + s * width // 8 : (end + 7) >> 3], "big") >> (-end % 8)
+
+
 def _read(t: PartitionTable, ks, a, b) -> np.ndarray:
     """Values ``[a[r], b[r])`` of partitions ``ks[r]`` of a LeCo or FOR table,
     back to back.  Value ``i`` is §3.3's ``floor(θ0 + θ1·i) + bias + delta``.
@@ -256,8 +264,7 @@ def _read(t: PartitionTable, ks, a, b) -> np.ndarray:
     if n.sum() <= _SCALAR:
         cols, buf, out = (t.theta0, t.theta1, t.bias, t.width, t.payload_off), t.payload, []
         for theta0, theta1, bias, width, off, s, e in zip(*(c[ks].tolist() for c in cols), a.tolist(), b.tolist()):
-            end, mask = off * 8 + e * width, (1 << width) - 1
-            x = int.from_bytes(buf[off + s * width // 8 : (end + 7) >> 3], "big") >> (-end % 8)
+            x, mask = _window(buf, off, width, s, e), (1 << width) - 1
             out += [math.floor(theta0 + theta1 * i) + bias + (x >> (e - 1 - i) * width & mask) for i in range(s, e)]
         try:
             return np.array(out, dtype=np.int64)

@@ -23,12 +23,13 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .bitpack import bits_needed, extract_bigint, pack_bigints
 
-__all__ = ["StringLeCo", "StringEncoded"]
+__all__ = ["StringLeCo", "StringEncoded", "lower_bound"]
 
 
 def _common_prefix(strings: list[str]) -> str:
@@ -63,6 +64,20 @@ class StringPartition:
 
     def nbytes(self) -> int:
         return self.header_bytes() + len(self.deltas) + len(self.lengths)
+
+    @cached_property
+    def probe_state(self) -> tuple:
+        """What :func:`lower_bound` reads, as plain Python data, derived from
+        the fields above on first use (so not counted in :meth:`nbytes`):
+        ``(prefix, digits, m, base, W, pows, θ0, θ1, bias, delta_width,
+        len_width, deltas, lengths, n)``, with the prefix as latin-1 bytes,
+        ``digits`` the charset's :func:`_digit_table` and ``pows[k] = base**k``
+        for every padding ``k`` in ``[0, W]``."""
+        return (
+            self.prefix.encode("latin1"), _digit_table(self.charset), len(self.charset), self.base,
+            self.max_len, [self.base**k for k in range(self.max_len + 1)], self.theta0, self.theta1,
+            self.bias, self.delta_width, self.len_width, self.deltas, self.lengths, self.n,
+        )
 
 
 @dataclass
@@ -191,6 +206,13 @@ class StringLeCo:
     # order of (min-padded integer, length): the first differing character is
     # the first differing digit, and a proper prefix pads with the smallest
     # digit, ties on the integer and loses on the length.
+    #
+    # ``lower_bound`` decides most probes on the stored integer alone.  The
+    # encoder stores S = floor(θ0 + θ1·i) + bias + delta between the tail's
+    # minimal and maximal padding, so minpad ≤ S, and for the query's integer
+    # q: S < q ⇒ minpad < q ⇒ the key is less, whatever the lengths.  Only
+    # when S ≥ q does it read the length and clear S's padding digits, which
+    # gives minpad and the full (integer, length) comparison above.
     def mapped_value(self, enc: StringEncoded, i: int) -> tuple[int, int]:
         """Order key ``(min-padded integer, length)`` of the string at ``i``
         without materializing it: one model inference and two bounded bit
@@ -227,3 +249,57 @@ class StringLeCo:
                 return (acc * base + d) * base ** (w - j - 1), (j + 1 if d < len(cs) else 0)
             acc = acc * base + d
         return acc * base ** (w - min(len(t), w)), min(len(t), w + 1)
+
+
+@lru_cache(maxsize=1024)
+def _digit_table(charset: str) -> tuple[int, ...]:
+    """The digit of every latin-1 byte ``b`` under ``charset``, as
+    :meth:`StringLeCo.map_query` finds it by bisection: ``d`` when ``chr(b)``
+    is charset character ``d``, else ``~d`` (negative), ``d`` being the
+    number of charset characters below it.  Memoized per charset, which the
+    partitions of one index often share."""
+    out = []
+    for b in range(256):
+        d = bisect.bisect_left(charset, chr(b))
+        out.append(d if d < len(charset) and charset[d] == chr(b) else ~d)
+    return tuple(out)
+
+
+def lower_bound(p: StringPartition, key: bytes, lo: int = 0, hi: int | None = None) -> int:
+    """``bisect_left`` of the latin-1 query ``key`` over the sorted strings of
+    ``p`` in ``[lo, hi)`` (default: all of them), in one frame over
+    :attr:`StringPartition.probe_state`.  The query is mapped once, by
+    :meth:`StringLeCo.map_query`'s rules; each probe then decides
+    ``mapped_value(i) < map_query(p, key)`` from the stored integer, and
+    reads the length only when that integer is not below the query's (see
+    the comment above :meth:`StringLeCo.mapped_value`)."""
+    pre, digits, m, base, w, pows, theta0, theta1, bias, dw, lw, deltas, lengths, n = p.probe_state
+    if hi is None:
+        hi = n
+    head = key[: len(pre)]
+    if head != pre:  # below or above every string of the partition
+        return lo if head < pre else hi
+    t, acc = key[len(pre) :], 0
+    for j, b in enumerate(t[:w]):
+        d = digits[b]
+        if d < 0:  # outside the charset
+            q, ql = (acc * base + ~d) * pows[w - j - 1], (j + 1 if ~d < m else 0)
+            break
+        acc = acc * base + d
+    else:
+        q, ql = acc * pows[w - min(len(t), w)], min(len(t), w + 1)
+    dmask, lmask = (1 << dw) - 1, (1 << lw) - 1
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        end = (mid + 1) * dw
+        s = math.floor(theta0 + theta1 * mid) + bias
+        s += int.from_bytes(deltas[(end - dw) >> 3 : (end + 7) >> 3], "big") >> (-end % 8) & dmask
+        if s >= q:  # near a tie: the length, then the minimal padding
+            end = (mid + 1) * lw
+            length = int.from_bytes(lengths[(end - lw) >> 3 : (end + 7) >> 3], "big") >> (-end % 8) & lmask
+            s -= s % pows[w - length]
+            if s > q or (s == q and length >= ql):
+                hi = mid
+                continue
+        lo = mid + 1
+    return lo

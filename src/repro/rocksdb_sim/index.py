@@ -12,9 +12,11 @@ cost that grows with RI, exactly the trade-off the paper measures.
 ``LeCoIndex`` compresses the separator keys with the §3.4 string extension
 and the block offsets with LeCo-fix; a lookup binary-searches directly on
 the *compressed* keys.  Each probe compares a key's order key
-``(min-padded integer, length)`` — one model inference and two bounded bit
-reads — with the query's, which is exact within a partition, so a seek
-decodes no string and never sequentially decodes a compression unit.
+``(min-padded integer, length)`` with the query's, which is exact within a
+partition: one model inference and one bit read decide it when the stored
+integer lies below the query's, and the length is read only otherwise
+(``string_codec.lower_bound``).  A seek decodes no string and never
+sequentially decodes a compression unit.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import bisect
 import numpy as np
 
 from ..core.leco import LeCoFix
-from ..core.string_codec import StringLeCo
+from ..core.string_codec import StringLeCo, lower_bound
 from .sstable import IndexEntry
 
 
@@ -127,7 +129,8 @@ class LeCoIndex:
         self._ic = LeCoFix(partition_len)
         self._offs = self._ic.encode(np.asarray([e.offset for e in entries] + [end]), dtype_bits=64)
         # Derived hot metadata (recomputable from the compressed form, so it
-        # does not count toward nbytes — the paper's "model often cached"):
+        # does not count toward nbytes — the paper's "model often cached"),
+        # as each key partition's ``probe_state``, built by its first seek:
         self._part_firsts = [e.key for e in entries[::partition_len]]
 
     def nbytes(self) -> int:
@@ -140,15 +143,7 @@ class LeCoIndex:
         pk = max(0, bisect.bisect_left(self._part_firsts, key) - 1)
         part = self._keys.partitions[pk]
         # 2) exact lower bound within the partition on (min-padded int, length)
-        q = self._skc.map_query(part, key.decode("latin1"))
-        lo = pk * self._keys.partition_len
-        hi = lo + part.n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._skc.mapped_value(self._keys, mid) < q:
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = pk * self._keys.partition_len + lower_bound(part, key)
         if lo >= self.n:
             return None
         off = self._ic.access(self._offs, lo)

@@ -1,5 +1,6 @@
 """LeCo-specific behavioural tests: format invariants, range decode, exact
 model inference, and paper-claimed dominance properties."""
+import struct
 from unittest import mock
 
 import numpy as np
@@ -251,6 +252,36 @@ def test_access_equals_decode_everywhere(layout, seed, n, parsed):
     for i in (-1, len(v), len(v) + 8):
         with pytest.raises(IndexError):
             codec.access(enc, i)
+
+
+@given(st.sampled_from(["Delta-fix", "Delta-var"]), st.sampled_from([0, 1, 63, 64]), st.integers(0, 2**32 - 1),
+       st.integers(1, 400), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_delta_access_equals_decode_everywhere(layout, width, seed, n, corrupt):
+    """Delta ``access`` equals the full decode at every position: each
+    partition's first value (no difference summed), prefixes of at most
+    ``_SCALAR`` differences (summed in Python) and longer ones (one
+    ``unpack_rows`` call; Delta-fix's 300-value partitions hold both),
+    differences drawn below ``2^width`` for widths 0, 1, 63 and 64 from a
+    start anywhere in int64, so the values wrap over its full range.  With
+    one partition's bias overwritten by int64's maximum in the blob, the
+    reads leave int64 and wrap alike."""
+    g = np.random.default_rng(seed)
+    d = g.integers(0, (1 << width) - 1, n, dtype=np.uint64, endpoint=True)
+    v = (np.uint64(g.integers(0, 2**64 - 1, dtype=np.uint64, endpoint=True)) + np.cumsum(d)).view(np.int64)
+    codec = DeltaFix(300) if layout == "Delta-fix" else DeltaVar()
+    enc = codec.encode(v)
+    if n >= 50:
+        assert width in enc.partitions.width.tolist()
+    blob = bytearray(enc.to_bytes())
+    if corrupt:
+        m = len(enc.partitions)
+        at = 17 + (4 if enc.fixed_len is not None else 4 * m) + 29 * (seed % m) + 16
+        struct.pack_into("<q", blob, at, 2**63 - 1)
+    enc = EncodedSequence.from_bytes(bytes(blob))
+    out = codec.decode(enc)
+    assert out.dtype == np.int64 and (corrupt or np.array_equal(out, v))
+    assert [codec.access(enc, i) for i in range(n)] == out.tolist()
 
 
 @given(st.sampled_from(["FOR", "LeCo-fix", "LeCo-var", "LeCo-angle"]), st.integers(0, 2**32 - 1),

@@ -1,8 +1,12 @@
 """LeCo string extension tests (§3.4)."""
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.core.string_codec import StringLeCo, _common_prefix
+from repro.core.string_codec import StringLeCo, _common_prefix, lower_bound
 from repro.datasets import STRING_DATASETS
 
 
@@ -116,3 +120,77 @@ def test_unsorted_strings_still_roundtrip():
     codec = StringLeCo(partition_len=3)
     enc = codec.encode(strings)
     assert codec.decode(enc) == strings
+
+
+@st.composite
+def _partition_queries(draw):
+    """One sorted partition of latin-1 keys sharing a drawn prefix, and
+    queries around it: stored keys; keys extended by the smallest charset
+    byte (the same min-padded integer, told apart by the length alone) or
+    by any bytes, past W included; truncations of keys, into the prefix
+    included; any bytes (outside the prefix and the charset); the empty
+    query; and bytes just below and above the prefix."""
+    alphabet = draw(st.lists(st.integers(0, 255), min_size=1, max_size=8, unique=True))
+    word = st.lists(st.sampled_from(alphabet), max_size=6).map(bytes)
+    prefix = draw(word)
+    keys = sorted(prefix + w for w in draw(st.lists(word, min_size=1, max_size=40)))
+    stored = st.sampled_from(keys)
+    low = bytes([min(alphabet)])
+    queries = draw(st.lists(st.one_of(
+        stored,
+        stored.map(lambda k: k + low),
+        st.tuples(stored, st.binary(max_size=10)).map(lambda t: t[0] + t[1]),
+        st.tuples(stored, st.integers(0, 12)).map(lambda t: t[0][: t[1]]),
+        st.binary(max_size=12),
+    ), min_size=1, max_size=30))
+    edges = [b""]
+    if prefix:
+        edges += [prefix[:-1] + bytes([prefix[-1] - 1]) + b"\xff" if prefix[-1] else prefix[:-1],
+                  prefix[:-1] + bytes([min(prefix[-1] + 1, 255)])]
+    return keys, queries + edges
+
+
+@given(pq=_partition_queries(), pow2=st.booleans())
+@example(pq=([b"a", b"b", b"bb"], [b"az"]), pow2=False)  # "z" carries into "b"'s integer; "b" is longer than 0
+@settings(max_examples=300, deadline=None)
+def test_lower_bound_decides_as_order_keys(pq, pow2):
+    """At every position of a partition, ``lower_bound``'s decision on one
+    probe (its one-position range ``[i, i + 1)``) equals the reference
+    ``mapped_value(enc, i) < map_query(p, s)``, and over the whole
+    partition it returns the number of keys below the query, as
+    ``bisect_left`` over the keys does."""
+    keys, queries = pq
+    codec = StringLeCo(partition_len=len(keys), pow2_base=pow2)
+    enc = codec.encode([k.decode("latin1") for k in keys])
+    (p,) = enc.partitions
+    order = [codec.mapped_value(enc, i) for i in range(len(keys))]
+    for q in queries:
+        ref = codec.map_query(p, q.decode("latin1"))
+        assert [lower_bound(p, q, i, i + 1) - i for i in range(len(keys))] == [o < ref for o in order], q
+        assert lower_bound(p, q) == sum(k < q for k in keys), q
+
+
+class _CountedBytes(bytes):
+    """Bytes that count the slices read from them."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("pow2", [False, True])
+def test_lower_bound_reads_lengths_only_near_a_tie(pow2):
+    """A probe whose stored integer lies below the query's is decided
+    without reading the length: a query above every key reads no length,
+    and seeks of the stored keys read fewer lengths than deltas."""
+    keys = [b"user%06d" % k for k in range(0, 6400, 100)]
+    enc = StringLeCo(partition_len=len(keys), pow2_base=pow2).encode([k.decode("latin1") for k in keys])
+    (p,) = enc.partitions
+    deltas, lengths = _CountedBytes(p.deltas), _CountedBytes(p.lengths)
+    p = dataclasses.replace(p, deltas=deltas, lengths=lengths)
+    assert lower_bound(p, b"user009") == len(keys)  # "9" is above the charset
+    assert deltas.reads > 0 and lengths.reads == 0
+    assert [lower_bound(p, k) for k in keys] == list(range(len(keys)))
+    assert 0 < lengths.reads < deltas.reads
