@@ -288,15 +288,15 @@ def lower_bound(p: StringPartition, key: bytes, lo: int = 0, hi: int | None = No
         acc = acc * base + d
     else:
         q, ql = acc * pows[w - min(len(t), w)], min(len(t), w + 1)
-    dmask, lmask = (1 << dw) - 1, (1 << lw) - 1
+    dmask, lmask, floor, from_bytes = (1 << dw) - 1, (1 << lw) - 1, math.floor, int.from_bytes
     while lo < hi:
         mid = (lo + hi) >> 1
         end = (mid + 1) * dw
-        s = math.floor(theta0 + theta1 * mid) + bias
-        s += int.from_bytes(deltas[(end - dw) >> 3 : (end + 7) >> 3], "big") >> (-end % 8) & dmask
+        delta = from_bytes(deltas[(end - dw) >> 3 : (end + 7) >> 3], "big") >> (-end % 8) & dmask
+        s = floor(theta0 + theta1 * mid) + bias + delta
         if s >= q:  # near a tie: the length, then the minimal padding
             end = (mid + 1) * lw
-            length = int.from_bytes(lengths[(end - lw) >> 3 : (end + 7) >> 3], "big") >> (-end % 8) & lmask
+            length = from_bytes(lengths[(end - lw) >> 3 : (end + 7) >> 3], "big") >> (-end % 8) & lmask
             s -= s % pows[w - length]
             if s > q or (s == q and length >= ql):
                 hi = mid
