@@ -265,20 +265,17 @@ def _digit_table(charset: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def lower_bound(p: StringPartition, key: bytes, lo: int = 0, hi: int | None = None) -> int:
+def lower_bound(p: StringPartition, key: bytes) -> int:
     """``bisect_left`` of the latin-1 query ``key`` over the sorted strings of
-    ``p`` in ``[lo, hi)`` (default: all of them), in one frame over
-    :attr:`StringPartition.probe_state`.  The query is mapped once, by
+    ``p``, in one frame over :attr:`StringPartition.probe_state`.  The query is mapped once, by
     :meth:`StringLeCo.map_query`'s rules; each probe then decides
     ``mapped_value(i) < map_query(p, key)`` from the stored integer, and
     reads the length only when that integer is not below the query's (see
     the comment above :meth:`StringLeCo.mapped_value`)."""
     pre, digits, m, base, w, pows, theta0, theta1, bias, dw, lw, deltas, lengths, n = p.probe_state
-    if hi is None:
-        hi = n
     head = key[: len(pre)]
     if head != pre:  # below or above every string of the partition
-        return lo if head < pre else hi
+        return 0 if head < pre else n
     t, acc = key[len(pre) :], 0
     for j, b in enumerate(t[:w]):
         d = digits[b]
@@ -289,6 +286,7 @@ def lower_bound(p: StringPartition, key: bytes, lo: int = 0, hi: int | None = No
     else:
         q, ql = acc * pows[w - min(len(t), w)], min(len(t), w + 1)
     dmask, lmask, floor, from_bytes = (1 << dw) - 1, (1 << lw) - 1, math.floor, int.from_bytes
+    lo, hi = 0, n
     while lo < hi:
         mid = (lo + hi) >> 1
         end = (mid + 1) * dw

@@ -71,16 +71,19 @@ def run_fig20(
     raw = raw_index_bytes(entries)
     rows: list[SeekRow] = []
     try:
-        for kind in KINDS:
-            for mb in cache_mbs:
-                runs = []
-                for _ in range(REPEATS):
+        for mb in cache_mbs:
+            # a repeat runs every kind in turn, so a slow spell of the host
+            # falls on all kinds of a cache size rather than on one
+            by_kind: dict[str, list] = {kind: [] for kind in KINDS}
+            for _ in range(REPEATS):
+                for kind in KINDS:
                     db = DB(path, entries, index_kind=kind, cache_bytes=int(mb * 1e6))
                     for qk in qkeys:
                         if db.seek(qk) is None:
                             raise AssertionError(f"missing key under {kind}")
                     db.close()
-                    runs.append((db.stats, db.index.nbytes()))
+                    by_kind[kind].append((db.stats, db.index.nbytes()))
+            for kind, runs in by_kind.items():
                 if len({s.misses for s, _ in runs}) != 1:
                     raise AssertionError(f"{kind} at {mb}MB: misses differ across repeats")
                 s, index_bytes = sorted(runs, key=lambda r: r[0].throughput())[REPEATS // 2]

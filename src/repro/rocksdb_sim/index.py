@@ -122,9 +122,9 @@ class LeCoIndex:
 
     def __init__(self, entries: list[IndexEntry], partition_len: int = 64):
         self.n = len(entries)
-        self._skc = StringLeCo(partition_len=partition_len, pow2_base=True)
         # the string codec refuses empty input; an empty index stores no keys
-        self._keys = self._skc.encode([e.key.decode("latin1") for e in entries]) if entries else None
+        keys = [e.key.decode("latin1") for e in entries]
+        self._keys = StringLeCo(partition_len=partition_len, pow2_base=True).encode(keys) if entries else None
         end = entries[-1].offset + entries[-1].size if entries else 0
         self._ic = LeCoFix(partition_len)
         self._offs = self._ic.encode(np.asarray([e.offset for e in entries] + [end]), dtype_bits=64)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.delta_codec import DeltaFix, DeltaVar
+from repro.baselines.delta_codec import DeltaFix, DeltaVar, _field_sum
 from repro.baselines.elias_fano import EliasFano
 from repro.baselines.for_codec import FORCodec
 from repro.core.format import EncodedSequence, PARTITION_HEADER_BYTES
@@ -259,9 +259,9 @@ def test_access_equals_decode_everywhere(layout, seed, n, parsed):
 @settings(max_examples=120, deadline=None)
 def test_delta_access_equals_decode_everywhere(layout, width, seed, n, corrupt):
     """Delta ``access`` equals the full decode at every position: each
-    partition's first value (no difference summed), prefixes of at most
-    ``_SCALAR`` differences (summed in Python) and longer ones (one
-    ``unpack_rows`` call; Delta-fix's 300-value partitions hold both),
+    partition's first value (no difference summed), prefixes folded in
+    Python and, at widths 63 and 64, whose Delta-fix prefixes pass
+    ``_FOLD_BITS`` within a 300-value partition, ones read by ``unpack_rows``;
     differences drawn below ``2^width`` for widths 0, 1, 63 and 64 from a
     start anywhere in int64, so the values wrap over its full range.  With
     one partition's bias overwritten by int64's maximum in the blob, the
@@ -282,6 +282,20 @@ def test_delta_access_equals_decode_everywhere(layout, width, seed, n, corrupt):
     out = codec.decode(enc)
     assert out.dtype == np.int64 and (corrupt or np.array_equal(out, v))
     assert [codec.access(enc, i) for i in range(n)] == out.tolist()
+
+
+@given(st.integers(1, 64), st.data())
+@settings(max_examples=200, deadline=None)
+def test_field_sum_equals_sum(width, data):
+    """``_field_sum`` of ``n`` packed fields is their plain sum, all-ones
+    fields (the largest total, just below the final modulus) included."""
+    top = (1 << width) - 1
+    fields = data.draw(st.one_of(st.lists(st.integers(0, top), max_size=600),
+                                 st.integers(0, 600).map(lambda n: [top] * n)))
+    x = 0
+    for v in fields:
+        x = x << width | v
+    assert _field_sum(x, width, len(fields)) == sum(fields)
 
 
 @given(st.sampled_from(["FOR", "LeCo-fix", "LeCo-var", "LeCo-angle"]), st.integers(0, 2**32 - 1),

@@ -155,11 +155,10 @@ def _partition_queries(draw):
 @example(pq=([b"a", b"b", b"bb"], [b"az"]), pow2=False)
 @settings(max_examples=300, deadline=None)
 def test_lower_bound_decides_as_order_keys(pq, pow2):
-    """At every position of a partition, ``lower_bound``'s decision on one
-    probe (its one-position range ``[i, i + 1)``) equals the reference
-    ``mapped_value(enc, i) < map_query(p, s)``, and over the whole
-    partition it returns the number of keys below the query, as
-    ``bisect_left`` over the keys does."""
+    """``lower_bound`` agrees with the reference at every position of a
+    partition: ``i < lower_bound(p, s)`` exactly where
+    ``mapped_value(enc, i) < map_query(p, s)``, and the bound is the number
+    of keys below the query, as ``bisect_left`` over the keys finds it."""
     keys, queries = pq
     codec = StringLeCo(partition_len=len(keys), pow2_base=pow2)
     enc = codec.encode([k.decode("latin1") for k in keys])
@@ -167,8 +166,9 @@ def test_lower_bound_decides_as_order_keys(pq, pow2):
     order = [codec.mapped_value(enc, i) for i in range(len(keys))]
     for q in queries:
         ref = codec.map_query(p, q.decode("latin1"))
-        assert [lower_bound(p, q, i, i + 1) - i for i in range(len(keys))] == [o < ref for o in order], q
-        assert lower_bound(p, q) == sum(k < q for k in keys), q
+        at = lower_bound(p, q)
+        assert [i < at for i in range(len(keys))] == [o < ref for o in order], q
+        assert at == sum(k < q for k in keys), q
 
 
 class _CountedBytes(bytes):
