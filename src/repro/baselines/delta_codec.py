@@ -9,7 +9,8 @@ LeCo/FOR.
 
 ``Delta-fix`` uses fixed-length partitions (searched); ``Delta-var`` is the
 paper's improved variant driven by LeCo's variable-length Partitioner with
-the exact incremental width metric from §3.2.2's Delta example.
+the exact incremental width metric from §3.2.2's Delta example.  Both fit
+their partitions, given as ranges, with the one :func:`_delta_fit`.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ def _delta_width(sub: np.ndarray) -> int:
     subtracted — that would be LeCo's job, not Delta's); a negative bias is
     applied only when the input is locally unsorted, standing in for the
     sign handling signed diffs would otherwise need.  A bias ≤ −2^53 prices
-    the width 64 that :func:`_delta_bias` stores such a partition at."""
+    the width 64 that :func:`_delta_ranges` stores such a partition at."""
     if len(sub) < 2:
         return 0
     d = np.diff(np.asarray(sub, dtype=np.int64))
@@ -43,14 +44,20 @@ def _delta_width(sub: np.ndarray) -> int:
     return 64 if dbias <= _WIDE_BIAS else bits_needed(int(d.max()) - dbias)
 
 
-def _delta_bias(dmin: np.ndarray, dmax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Difference bias and width of partitions whose first differences span
-    ``[dmin, dmax]``, at :func:`_delta_width`'s rule.  Delta's fit keeps the
-    first value in the exact int64 bias (a float θ0 would round it beyond
-    2^53), the difference bias in θ1, and stores the differences less it.  A
-    partition whose difference bias is ≤ −2^53, which θ1 cannot hold exactly,
-    stores its wrapping differences at width 64 with bias 0 instead; the
-    decoder's prefix sum wraps back to the exact values."""
+def _delta_ranges(v: np.ndarray, starts, stops) -> tuple[np.ndarray, np.ndarray]:
+    """Difference bias and width of each range ``v[a:b]`` at
+    :func:`_delta_width`'s rule, the differences' min and max of every range
+    from one ``reduceat`` over ``np.diff(v)``.  Delta's fit keeps the first
+    value in the exact int64 bias (a float θ0 would round it beyond 2^53),
+    the difference bias in θ1, and stores the differences less it.  A range
+    whose difference bias is ≤ −2^53, which θ1 cannot hold exactly, stores
+    its wrapping differences at width 64 with bias 0 instead; the decoder's
+    prefix sum wraps back to the exact values."""
+    a, b = np.asarray(starts, dtype=np.int64), np.asarray(stops, dtype=np.int64)
+    d = np.append(np.diff(v), 0)  # a last index b − 1 stays in range
+    at = np.stack([a, b - 1], axis=1).ravel()  # even slots reduce v[a:b]'s differences
+    short = b - a < 2
+    dmin, dmax = (np.where(short, 0, f.reduceat(d, at)[::2]) for f in (np.minimum, np.maximum))
     dbias = np.minimum(0, dmin)
     width = bits_needed_vec(dmax - dbias)
     wide = dbias <= _WIDE_BIAS
@@ -58,36 +65,17 @@ def _delta_bias(dmin: np.ndarray, dmax: np.ndarray) -> tuple[np.ndarray, np.ndar
     return dbias, width
 
 
-def _delta_ranges(v: np.ndarray, starts, stops) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_delta_bias` of each range ``v[a:b]``, the differences' min and
-    max of every range from one ``reduceat`` over ``np.diff(v)``."""
-    a, b = np.asarray(starts, dtype=np.int64), np.asarray(stops, dtype=np.int64)
-    d = np.append(np.diff(v), 0)  # a last index b − 1 stays in range
-    at = np.stack([a, b - 1], axis=1).ravel()  # even slots reduce v[a:b]'s differences
-    short = b - a < 2
-    return _delta_bias(*(np.where(short, 0, f.reduceat(d, at)[::2]) for f in (np.minimum, np.maximum)))
-
-
 def _delta_widths(v: np.ndarray, starts, stops):
     """The Partitioner's batched width callback; one range takes :func:`_delta_width`."""
     return [_delta_width(v[starts[0] : stops[0]])] if len(starts) == 1 else _delta_ranges(v, starts, stops)[1]
 
 
-def _delta_fit_var(v: np.ndarray, starts: np.ndarray, stops: np.ndarray):
-    """Delta's fit of the partitions ``v[a:b]`` that tile ``v`` (the ``fit``
-    of ``encode_var``): their ``b − a − 1`` stored differences back to back."""
+def _delta_fit(v: np.ndarray, starts: np.ndarray, stops: np.ndarray):
+    """Delta's fit of the partitions ``v[a:b]`` that tile ``v``: their
+    ``b − a − 1`` stored differences back to back."""
     dbias, width = _delta_ranges(v, starts, stops)
     stored = np.delete(np.diff(v), starts[1:] - 1) - np.repeat(dbias, stops - starts - 1)
     return np.zeros(len(starts)), dbias.astype(np.float64), v[starts], width, stored
-
-
-def _delta_fit(rows: np.ndarray, L: int | None = None):
-    """Delta's fit of equal-length partitions stacked as rows (the ``fit``
-    of ``encode_fixed``; ``L`` plays no part)."""
-    d = np.diff(rows, axis=1)
-    spread = d if d.shape[1] else np.zeros((len(rows), 1), dtype=np.int64)
-    dbias, width = _delta_bias(spread.min(axis=1), spread.max(axis=1))
-    return np.zeros(len(rows)), dbias.astype(np.float64), rows[:, 0], width, d - dbias[:, None]
 
 
 def _decode_prefixes(t: PartitionTable, ks, counts) -> np.ndarray:
@@ -169,4 +157,4 @@ class DeltaVar(_DeltaBase):
 
     def encode(self, values: np.ndarray, *, dtype_bits: int = 64) -> EncodedSequence:
         starts = var_partitions(values, tau=self.tau, exact_widths=_delta_widths)
-        return encode_var(self.name, values, dtype_bits, starts, _delta_fit_var)
+        return encode_var(self.name, values, dtype_bits, starts, _delta_fit)

@@ -2,10 +2,11 @@
 
 Under the LeCo framework FOR is the special case whose Regressor always
 outputs a horizontal line, so it reuses the same storage format with
-``θ0 = θ1 = 0`` and the frame minimum in the exact int64 bias, and LeCo's
-decode and access kernels.  Frame length comes from the same sampling-based
-search used by LeCo-fix (§4.2 applies that search to all fixed-partitioning
-baselines).
+``θ0 = θ1 = 0`` and the frame minimum in the exact int64 bias, LeCo's
+table builder (its fit takes the frames as ranges, like every Model+Delta
+fit) and LeCo's decode and access kernels.  Frame length comes from the
+same sampling-based search used by LeCo-fix (§4.2 applies that search to
+all fixed-partitioning baselines).
 """
 from __future__ import annotations
 
@@ -16,12 +17,13 @@ from ..core.format import EncodedSequence
 from ..core.leco import _LeCoBase, decode_table, encode_fixed
 
 
-def _frame_fit(rows: np.ndarray, L: int | None = None):
-    """FOR's fit per frame: the horizontal line θ0 = θ1 = 0, frame min in
-    bias, offsets from it stored (the frame length ``L`` plays no part)."""
-    rmin = rows.min(axis=1)
-    zeros = np.zeros(len(rows))
-    return zeros, zeros, rmin, bits_needed_vec(rows.max(axis=1) - rmin), rows - rmin[:, None]
+def _frame_fit(v: np.ndarray, starts, stops):
+    """FOR's fit of the ranges ``v[a:b]`` that tile ``v``: the horizontal
+    line θ0 = θ1 = 0, each range's min (one ``reduceat``) in bias, and the
+    offsets from it stored."""
+    lo, hi = np.minimum.reduceat(v, starts), np.maximum.reduceat(v, starts)
+    zeros = np.zeros(len(lo))
+    return zeros, zeros, lo, bits_needed_vec(hi - lo), v - np.repeat(lo, stops - starts)
 
 
 class FORCodec:

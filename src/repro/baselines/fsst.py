@@ -130,6 +130,9 @@ class FSSTLite:
         return out.decode()
 
     def access(self, enc: FSSTEncoded, i: int) -> str:
+        """String ``i``; raises ``IndexError`` outside ``[0, n)``."""
+        if not 0 <= i < enc.n:
+            raise IndexError(f"position {i} outside [0, {enc.n})")
         if enc.block == 0:
             start = int(enc.offsets[i])
             end = int(enc.offsets[i + 1]) if i + 1 < enc.n else len(enc.codes)

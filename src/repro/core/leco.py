@@ -9,11 +9,13 @@ a bit-packed unsigned delta array, giving O(1) random access:
     v = floor(θ0 + θ1·i') + bias + delta[i']
 
 FOR is the θ0 = θ1 = 0 case of the same layout, so FOR shares this module's
-decode and access kernels.  FOR, LeCo and Delta differ only in their
-per-partition fit and their layout: every one of them encodes through
-:func:`encode_fixed` or :func:`encode_var`, and reads blocks through
-:func:`_read` here whatever the layout (a short read value by value in
-Python, a longer one with one ragged ``unpack_rows`` call).
+decode and access kernels.  FOR, LeCo and Delta differ only in their fit
+and where their partitions start: every one of them builds its table in
+:func:`encode_var` from one ``fit(v, starts, stops)`` call, a fixed-length
+layout being the ranges 0, L, 2L, … that :func:`encode_fixed` hands it
+after searching ``L``.  FOR and LeCo read blocks through :func:`_read` here
+whatever the layout (a short read value by value in Python, a longer one
+with one ragged ``unpack_rows`` call).
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from .bitpack import _bits_at, bits_needed_vec, pack_rows, packed_size, unpack_rows
 from .format import _SAFE, EncodedSequence, PartitionTable, fixed_size, payload_counts
-from .partitioner import fixed_partitions, fixed_rows, search_fixed_length, var_partitions
+from .partitioner import fixed_partitions, search_fixed_length, var_partitions
 from .regressor import LinearRegressor, positions
 
 __all__ = ["LeCoFix", "LeCoVar", "access_many", "fit_ranges", "positions_in"]
@@ -54,7 +56,7 @@ def _best_of(x, lo, hi, theta0, theta1, deltas, safe):
 
 def _fit_rows(rows: np.ndarray):
     """Vectorized least-squares line + :func:`_best_of` over equal-length
-    partitions stacked as rows: the fit contract of :func:`build_table`."""
+    partitions stacked as rows: LeCo-fix's full partitions."""
     m, L = rows.shape
     i = np.arange(L, dtype=np.float64)
     ibar = (L - 1) / 2.0
@@ -169,24 +171,30 @@ def fit_ranges(v: np.ndarray, starts, stops):
     return theta0, theta1, bias, width, stored
 
 
-def _fit_linear(rows: np.ndarray, L: int):
-    """LeCo's fit of a fixed-length layout: full length-``L`` rows take the
-    vectorized :func:`_fit_rows`; the short tail takes the Regressor of
-    :func:`_fit_one`, whose θ0-tweak the stored model keeps."""
-    if rows.shape[1] == L:
-        return _fit_rows(rows)
-    theta0, theta1, bias, width, deltas = _fit_one(rows[0])
-    return [theta0], [theta1], [bias], [width], (deltas - bias)[None]
+def _fit_fix(v: np.ndarray, starts, stops):
+    """LeCo-fix's fit of the fixed-length ranges ``[kL, min((k+1)L, n))``:
+    the full ones, as long as the longest, by the vectorized :func:`_fit_rows`
+    on one reshape; a shorter tail by the Regressor of :func:`_fit_one`,
+    whose θ0-tweak the stored model keeps."""
+    n = stops - starts
+    L = int(n.max(initial=1))
+    m = int(np.count_nonzero(n == L))
+    fits = [_fit_rows(v[: m * L].reshape(m, L))]
+    if m < len(n):
+        theta0, theta1, bias, width, deltas = _fit_one(v[m * L :])
+        fits.append(([theta0], [theta1], [bias], [width], deltas - bias))
+    return [np.concatenate([np.reshape(f[j], -1) for f in fits]) for j in range(5)]
 
 
-def fixed_widths(values: np.ndarray, L: int, fit) -> np.ndarray:
-    """Per-partition widths ``fit`` gives fixed-length-``L`` partitions of ``values``."""
-    return np.concatenate([fit(rows, L)[3] for rows in fixed_rows(np.asarray(values, dtype=np.int64), L)])
+def _fit_at_length(fit, v: np.ndarray, L: int):
+    """``fit`` of the fixed-length-``L`` ranges ``[kL, min((k+1)L, n))`` of ``v``."""
+    a = fixed_partitions(len(v), L).astype(np.int64)
+    return fit(v, a, np.minimum(a + L, len(v)))
 
 
 def fixed_widths_linear(values: np.ndarray, L: int) -> np.ndarray:
     """Per-partition delta widths for fixed-length-L LeCo over ``values``."""
-    return fixed_widths(values, L, _fit_linear)
+    return _fit_at_length(_fit_fix, np.asarray(values, dtype=np.int64), L)[3]
 
 
 def _linear_widths(v: np.ndarray, starts, stops):
@@ -194,42 +202,34 @@ def _linear_widths(v: np.ndarray, starts, stops):
     return [_fit_one(v[starts[0] : stops[0]])[3]] if len(starts) == 1 else fit_ranges(v, starts, stops)[3]
 
 
-def build_table(fit, n: np.ndarray, n_stored: np.ndarray) -> PartitionTable:
-    """The one Model+Delta table builder: ``fit = (θ0, θ1, bias, width,
-    stored)`` of partitions of ``n`` values, whose ``n_stored`` stored values
-    lie back to back in ``stored``, all packed by one ``pack_rows`` call."""
-    theta0, theta1, bias, width, stored = fit
-    payload = pack_rows(stored, n_stored, width)
-    return PartitionTable.build(theta0, theta1, bias, width, n, packed_size(n_stored, width), payload)
-
-
 def encode_fixed(scheme: str, values, dtype_bits: int, L: int | None, fit, widths=None) -> EncodedSequence:
-    """``values`` as ``scheme`` in fixed-length-``L`` partitions fitted by
-    ``fit(rows, L)`` per block of ``fixed_rows``.  When ``L`` is None it is
-    searched (§3.2.1): each candidate is priced by the size model
+    """``values`` as ``scheme`` in the fixed-length-``L`` ranges ``[kL,
+    min((k+1)L, n))``, encoded by :func:`encode_var`.  When ``L`` is None it
+    is searched (§3.2.1): each candidate is priced by the size model
     ``format.fixed_size`` at the widths ``widths(sample, L)``, by default the
-    ones ``fit`` gives."""
+    ones ``fit`` gives the sample's ranges."""
     v = np.asarray(values, dtype=np.int64)
     if L is None:
-        widths = widths or (lambda s, L: fixed_widths(s, L, fit))
+        widths = widths or (lambda s, L: _fit_at_length(fit, s, L)[3])
         L = search_fixed_length(v, lambda s, L: fixed_size(scheme, len(s), L, widths(s, L)))
-    starts = fixed_partitions(len(v), L)
-    fits = [fit(rows, L) for rows in fixed_rows(v, L)] or [[np.empty(0, dtype=np.int64)] * 5]
-    n = np.diff(starts.astype(np.int64), append=len(v))
-    cols = [np.concatenate([np.reshape(f[j], -1) for f in fits]) for j in range(5)]
-    table = build_table(cols, n, payload_counts(scheme, n))
-    return EncodedSequence(scheme, len(v), dtype_bits, L, starts, table)
+    return encode_var(scheme, v, dtype_bits, fixed_partitions(len(v), L), fit, L)
 
 
-def encode_var(scheme: str, values, dtype_bits: int, starts: np.ndarray, fit) -> EncodedSequence:
-    """``values`` as ``scheme`` in the variable-length partitions beginning at
-    ``starts``, all fitted by one ``fit(v, starts, stops)`` call (the
-    contract of :func:`fit_ranges`)."""
+def encode_var(scheme: str, values, dtype_bits: int, starts: np.ndarray, fit, fixed_len=None) -> EncodedSequence:
+    """``values`` as ``scheme`` in the partitions beginning at ``starts``
+    (fixed-length-``fixed_len`` ones when it is given, which the blob
+    records), all fitted by one ``fit(v, starts, stops) → (θ0, θ1, bias,
+    width, stored)`` call (the contract of :func:`fit_ranges`), ``stored``
+    back to back, and packed by one ``pack_rows`` call: the one table
+    builder of every Model+Delta codec."""
     v = np.asarray(values, dtype=np.int64)
     a = np.asarray(starts, dtype=np.int64)
     n = np.diff(a, append=len(v))
-    table = build_table(fit(v, a, a + n), n, payload_counts(scheme, n))
-    return EncodedSequence(scheme, len(v), dtype_bits, None, starts, table)
+    theta0, theta1, bias, width, stored = fit(v, a, a + n)
+    n_stored = payload_counts(scheme, n)
+    payload = pack_rows(stored, n_stored, width)
+    table = PartitionTable.build(theta0, theta1, bias, width, n, packed_size(n_stored, width), payload)
+    return EncodedSequence(scheme, len(v), dtype_bits, fixed_len, starts, table)
 
 
 #: a read of at most this many values takes :func:`_read`'s scalar branch.
@@ -420,7 +420,9 @@ class LeCoFix(_LeCoBase):
 
     def encode(self, values: np.ndarray, *, dtype_bits: int = 64) -> EncodedSequence:
         L = self.partition_len
-        return encode_fixed(self.name, values, dtype_bits, L, _fit_linear, fixed_widths_linear)
+        # a length past n leaves one range, a tail, which the Regressor fits
+        fit = fit_ranges if L is not None and L > len(values) else _fit_fix
+        return encode_fixed(self.name, values, dtype_bits, L, fit, fixed_widths_linear)
 
 
 class LeCoVar(_LeCoBase):

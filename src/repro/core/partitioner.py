@@ -25,7 +25,6 @@ from .bitpack import bits_needed_vec
 
 __all__ = [
     "fixed_partitions",
-    "fixed_rows",
     "search_fixed_length",
     "var_partitions",
 ]
@@ -43,17 +42,6 @@ def fixed_partitions(n: int, length: int) -> np.ndarray:
     if length <= 0:
         raise ValueError(f"partition length must be positive, got {length}")
     return np.arange(0, n, length, dtype=np.uint32)
-
-
-def fixed_rows(values: np.ndarray, length: int) -> list[np.ndarray]:
-    """``values`` cut into fixed-``length`` partitions as 2-D blocks: the
-    full partitions as one ``(m, length)`` matrix, then the short tail as a
-    ``(1, r)`` row; an empty block is left out."""
-    m = len(values) // length
-    blocks = [values[: m * length].reshape(m, length)] if m else []
-    if len(values) % length:
-        blocks.append(values[m * length :].reshape(1, -1))
-    return blocks
 
 
 #: the fixed-length search samples this share of the values (<1% suffices,

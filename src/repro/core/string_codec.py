@@ -197,6 +197,9 @@ class StringLeCo:
         return out
 
     def access(self, enc: StringEncoded, i: int) -> str:
+        """String ``i``; raises ``IndexError`` outside ``[0, n)``."""
+        if not 0 <= i < enc.n:
+            raise IndexError(f"position {i} outside [0, {enc.n})")
         p = enc.partitions[i // enc.partition_len]
         return self._decode_value(p, i % enc.partition_len)
 

@@ -10,6 +10,9 @@ For each (data set × scheme) pair this measures, like the paper:
 * **compression throughput** in GB/s of raw input (Table 1), reported as a
   data-set-size-weighted average per scheme with a std-dev error bar.
 
+Access latency and decompression throughput are each the median of
+``REPEATS`` passes over every scheme of a data set.
+
 Absolute numbers are Python/numpy-scale (µs, not ns); EXPERIMENTS.md
 compares shapes and ratios against the paper, not absolutes.
 """
@@ -44,6 +47,13 @@ def applicable(scheme: str, dataset: str) -> bool:
     return not (scheme == "Elias-Fano" and dataset in UNSORTED)
 
 
+#: timing passes of each (data set, scheme) cell's accesses and decode; a
+#: cell reports the median pass.  A pass times every scheme's accesses in
+#: turn, then every scheme's decode, so a slow spell of the host falls on
+#: all schemes of a data set rather than on one cell
+REPEATS = 3
+
+
 def run_micro(
     *,
     n: int = 100_000,
@@ -60,30 +70,34 @@ def run_micro(
     for ds in datasets:
         values, dtype_bits = load_int(ds, n)
         raw = len(values) * dtype_bits // 8
-        positions = g.integers(0, len(values), n_access)
+        positions = g.integers(0, len(values), n_access).tolist()  # Python ints: no conversion is timed
+        cells = []  # (scheme, codec, enc, compress seconds)
         for scheme in schemes:
             if not applicable(scheme, ds):
                 continue
             codec = registry()[scheme]
             t0 = time.perf_counter()
             enc = codec.encode(values, dtype_bits=dtype_bits)
-            t_comp = time.perf_counter() - t0
-
-            access_us: float | None = None
-            if scheme != "rANS":
+            cells.append((scheme, codec, enc, time.perf_counter() - t0))
+        access_s = {c[0]: [] for c in cells}
+        decode_s = {c[0]: [] for c in cells}
+        for _ in range(REPEATS):
+            for scheme, codec, enc, _ in cells:
+                if scheme == "rANS":
+                    continue
                 # Delta prefix decodes are costly: cap its sample to keep the
                 # harness tractable while measuring the same per-access cost.
                 pos = positions if codec.supports_random_access else positions[: max(64, n_access // 8)]
                 t0 = time.perf_counter()
                 for i in pos:
-                    codec.access(enc, int(i))
-                access_us = (time.perf_counter() - t0) / len(pos) * 1e6
-
-            t0 = time.perf_counter()
-            out = codec.decode(enc)
-            t_dec = time.perf_counter() - t0
-            assert len(out) == len(values)
-
+                    codec.access(enc, i)
+                access_s[scheme].append((time.perf_counter() - t0) / len(pos))
+            for scheme, codec, enc, _ in cells:
+                t0 = time.perf_counter()
+                out = codec.decode(enc)
+                decode_s[scheme].append(time.perf_counter() - t0)
+                assert len(out) == len(values)
+        for scheme, _, enc, t_comp in cells:
             rows.append(
                 MicroRow(
                     ds,
@@ -91,8 +105,8 @@ def run_micro(
                     enc.ratio(),
                     enc.model_bytes() / raw,
                     raw / t_comp / 1e9,
-                    access_us,
-                    len(values) / t_dec / 1e6,
+                    float(np.median(access_s[scheme])) * 1e6 if access_s[scheme] else None,
+                    len(values) / float(np.median(decode_s[scheme])) / 1e6,
                 )
             )
     return rows

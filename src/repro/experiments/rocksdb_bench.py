@@ -66,11 +66,11 @@ def run_fig20(
     seed: int = 0,
 ) -> list[SeekRow]:
     keys, value, qkeys = make_workload(n, n_queries, seed)
-    path = tempfile.mktemp(suffix=".sst")
-    entries = build_sstable(path, [(k, value) for k in keys])
-    raw = raw_index_bytes(entries)
     rows: list[SeekRow] = []
-    try:
+    with tempfile.TemporaryDirectory(prefix="leco-fig20-") as tmp:
+        path = os.path.join(tmp, "table.sst")
+        entries = build_sstable(path, [(k, value) for k in keys])
+        raw = raw_index_bytes(entries)
         for mb in cache_mbs:
             # a repeat runs every kind in turn, so a slow spell of the host
             # falls on all kinds of a cache size rather than on one
@@ -93,8 +93,6 @@ def run_fig20(
                         s.throughput(), s.misses, s.cpu_s, s.modeled_io_s,
                     )
                 )
-    finally:
-        os.unlink(path)
     return rows
 
 

@@ -20,7 +20,7 @@ from repro.core.bitpack import (
     unpack_bigints,
 )
 from repro.core.format import EncodedSequence
-from repro.core.leco import LeCoFix, _fit_linear
+from repro.core.leco import LeCoFix, _fit_fix
 
 
 @pytest.mark.parametrize(
@@ -276,8 +276,9 @@ def test_unpack_rows_from_a_serialized_table():
     m = len(v) // L
     got = unpack_rows(t.payload, t.payload_off, t.n, t.width)
     assert 64 in t.width[:m].tolist()
-    stored = [_fit_linear(v[: m * L].reshape(m, L), L)[4], _fit_linear(v[m * L :][None], L)[4]]
-    assert np.array_equal(got, np.concatenate([s.reshape(-1) for s in stored]).view(np.uint64))
+    starts = np.arange(0, len(v), L)
+    stored = _fit_fix(v, starts, np.minimum(starts + L, len(v)))[4]
+    assert np.array_equal(got, stored.view(np.uint64))
 
 
 def test_unpack_rows_edges_and_bad_input():

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.delta_codec import _WIDE_BIAS, _delta_fit_var, _delta_width, _delta_widths
+from repro.baselines.delta_codec import _WIDE_BIAS, _delta_fit, _delta_width, _delta_widths
 from repro.core.bitpack import bits_needed
 from repro.core.leco import _SAFE, _fit_one, _linear_widths, _row_sums, fit_ranges
 from repro.core.regressor import LinearModel, LinearRegressor, centered, positions
@@ -216,7 +216,7 @@ def test_delta_ranges_are_delta_width_and_fit(case):
     starts, stops = (np.array(c, dtype=np.int64) for c in zip(*ranges))
     assert np.asarray(_delta_widths(v, starts, stops)).tolist() == [_delta_width(v[a:b]) for a, b in ranges]
     cuts = sorted({0, *starts.tolist()}) + [len(v)]
-    theta0, theta1, first, width, stored = _delta_fit_var(v, np.array(cuts[:-1]), np.array(cuts[1:]))
+    theta0, theta1, first, width, stored = _delta_fit(v, np.array(cuts[:-1]), np.array(cuts[1:]))
     at = 0
     for k, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
         v0, dbias, w, want = _oracle_delta_fit(v[a:b])

@@ -214,7 +214,7 @@ def test_delta_width_is_the_stored_width(first, steps):
     """The Partitioner's scalar width is the one ``_delta_fit`` stores the
     partition at, wide difference biases included."""
     r = np.cumsum(np.array([first] + steps, dtype=np.int64))  # wraps, so np.diff(r) == steps
-    assert _delta_width(r) == _delta_fit(r[None])[3][0]
+    assert _delta_width(r) == _delta_fit(r, np.array([0]), np.array([len(r)]))[3][0]
 
 
 # --- differential tests of the vectorized split phase ----------------------

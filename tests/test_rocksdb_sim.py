@@ -21,10 +21,10 @@ def small_table():
     ids = np.cumsum(g.integers(1, 5, 5000)) + 10**9
     keys = [b"user%012d" % int(k) for k in ids]
     value = bytes(range(64)) * 4
-    path = tempfile.mktemp(suffix=".sst")
-    entries = build_sstable(path, [(k, value) for k in keys])
-    yield path, entries, keys, value
-    os.unlink(path)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.sst")
+        entries = build_sstable(path, [(k, value) for k in keys])
+        yield path, entries, keys, value
 
 
 def test_shortest_separator_properties():
@@ -41,10 +41,9 @@ def test_shortest_separator_properties():
     assert shortest_separator(b"xyz", None) == b"xyz"
 
 
-def test_sstable_rejects_unsorted():
-    path = tempfile.mktemp()
+def test_sstable_rejects_unsorted(tmp_path):
     with pytest.raises(ValueError):
-        build_sstable(path, [(b"b", b"1"), (b"a", b"2")])
+        build_sstable(str(tmp_path / "table.sst"), [(b"b", b"1"), (b"a", b"2")])
 
 
 def test_blocks_parse_back(small_table):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.fsst import FSSTLite
 from repro.core.string_codec import StringLeCo, _common_prefix, lower_bound
 from repro.datasets import STRING_DATASETS
 
@@ -34,6 +35,20 @@ def test_random_access(dataset):
     g = np.random.default_rng(0)
     for i in g.integers(0, len(strings), 30):
         assert codec.access(enc, int(i)) == strings[i]
+
+
+@pytest.mark.parametrize("codec", [StringLeCo(partition_len=200), FSSTLite(), FSSTLite(offset_block=40)],
+                         ids=["LeCo-str", "FSST", "FSST-40"])
+def test_access_outside_raises(codec):
+    """``access`` raises ``IndexError`` outside ``[0, n)``, as every integer
+    codec does, rather than reading a padding slot of the last partition
+    or wrapping a negative position."""
+    strings = [f"user{k:03d}" for k in range(250)]
+    enc = codec.encode(strings)
+    assert [codec.access(enc, i) for i in (0, 249)] == ["user000", "user249"]
+    for i in (250, 399, -1, -250):
+        with pytest.raises(IndexError):
+            codec.access(enc, i)
 
 
 def test_variable_lengths_roundtrip():
